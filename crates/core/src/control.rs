@@ -30,14 +30,17 @@
 
 use std::ops::Range;
 
+use noc::calendar::Calendar;
 use noc::config::NocConfig;
-use noc::mesh::{HopPlan, InstallError, MeshNetwork};
+use noc::mesh::{HopPlan, InstallError, MeshNetwork, StalledHead};
 use noc::network::Network as _;
 use noc::reserve::{FlitSource, Landing};
 use noc::routing::Route;
 use noc::types::{Cycle, MessageClass, NodeId, PacketId, Port};
 
-use crate::schedule::{chunk_positions, claim_keys, priority_rank, segment_positions, ClaimKey};
+use crate::schedule::{
+    chunk_positions_into, priority_rank, segment_claims, segment_positions, ClaimKey,
+};
 use crate::stats::{ControlOrigin, DropReason, PraStats};
 
 /// Tunables of the control plane (ablation switches live here).
@@ -102,9 +105,31 @@ struct ControlPacket {
 pub struct ControlNetwork {
     cfg: NocConfig,
     ctrl: ControlConfig,
+    /// In-flight control packets in launch (= id) order, the order the
+    /// digest serialises.
     packets: Vec<ControlPacket>,
     next_id: u64,
     stats: PraStats,
+    /// Control-packet ids by `process_at`: `process` visits only the
+    /// packets due now. Derived state, excluded from the digest.
+    schedule: Calendar<u64>,
+    /// Data packets with a control packet in flight, sorted (with
+    /// repeats): the `has_packet_for` index. Derived state.
+    data_packets: Vec<PacketId>,
+    /// Route and chunk storage of dropped control packets, reused by the
+    /// next launches.
+    free: Vec<(Route, Vec<usize>)>,
+    /// `process` scratch, empty between calls: ids drained from
+    /// `schedule`,
+    due: Vec<(Cycle, u64)>,
+    /// the due packets' indices in priority order,
+    order: Vec<usize>,
+    /// the latches claimed this cycle,
+    claims: Vec<ClaimKey>,
+    /// and the ids dropped this cycle.
+    dropped_ids: Vec<u64>,
+    /// Reusable scratch of the LSD scan.
+    pub(crate) stalled: Vec<StalledHead>,
     /// Observability handle; detached by default.
     #[cfg(feature = "obs")]
     obs: niobs::ObsHandle,
@@ -119,6 +144,15 @@ impl ControlNetwork {
             packets: Vec::new(),
             next_id: 0,
             stats: PraStats::new(),
+            // Launches are due this cycle, survivors two cycles later.
+            schedule: Calendar::new(4),
+            data_packets: Vec::new(),
+            free: Vec::new(),
+            due: Vec::new(),
+            order: Vec::new(),
+            claims: Vec::new(),
+            dropped_ids: Vec::new(),
+            stalled: Vec::new(),
             #[cfg(feature = "obs")]
             obs: niobs::ObsHandle::disabled(),
         }
@@ -160,7 +194,19 @@ impl ControlNetwork {
 
     /// Whether a control packet for `packet` is in flight.
     pub fn has_packet_for(&self, packet: PacketId) -> bool {
-        self.packets.iter().any(|c| c.packet == packet)
+        self.data_packets.binary_search(&packet).is_ok()
+    }
+
+    /// Route storage for a launch: a dropped packet's, else fresh
+    /// storage sized for the longest XY route (corner to corner), so
+    /// reusing it never grows it.
+    fn take_route(&mut self) -> (Route, Vec<usize>) {
+        self.free.pop().unwrap_or_else(|| {
+            let corner = u16::try_from(self.cfg.nodes() - 1).expect("node ids are u16");
+            let route = Route::compute(&self.cfg, NodeId::new(0), NodeId::new(corner));
+            let chunk_of = Vec::with_capacity(route.hops());
+            (route, chunk_of)
+        })
     }
 
     /// Launches a control packet for a future LLC response: `data` will be
@@ -192,11 +238,10 @@ impl ControlNetwork {
             return false;
         }
         // Fault-aware: under degraded routing this follows the BFS detour
-        // tables; `None` means the destination is unreachable (or dead).
-        let Some(route) = mesh.compute_route(src, dest) else {
-            return false;
-        };
-        if route.hops() == 0 {
+        // tables; `false` means the destination is unreachable (or dead).
+        let (mut route, chunk_of) = self.take_route();
+        if !mesh.compute_route_into(src, dest, &mut route) || route.hops() == 0 {
+            self.free.push((route, chunk_of));
             return false;
         }
         self.push_packet(
@@ -204,7 +249,7 @@ impl ControlNetwork {
             packet,
             class,
             len,
-            route,
+            (route, chunk_of),
             due0,
             process_at,
             FlitSource::Vc {
@@ -235,10 +280,9 @@ impl ControlNetwork {
         if !self.ctrl.lsd {
             return;
         }
-        let Some(route) = mesh.compute_route(node, dest) else {
-            return;
-        };
-        if route.hops() == 0 {
+        let (mut route, chunk_of) = self.take_route();
+        if !mesh.compute_route_into(node, dest, &mut route) || route.hops() == 0 {
+            self.free.push((route, chunk_of));
             return;
         }
         self.push_packet(
@@ -246,7 +290,7 @@ impl ControlNetwork {
             packet,
             class,
             len,
-            route,
+            (route, chunk_of),
             due0,
             process_at,
             source,
@@ -260,12 +304,12 @@ impl ControlNetwork {
         packet: PacketId,
         class: MessageClass,
         len: u8,
-        route: Route,
+        (route, mut chunk_of): (Route, Vec<usize>),
         due0: Cycle,
         process_at: Cycle,
         first_source: FlitSource,
     ) {
-        let chunk_of = chunk_positions(&route, self.cfg.max_hops_per_cycle);
+        chunk_positions_into(&route, self.cfg.max_hops_per_cycle, &mut chunk_of);
         self.next_id += 1;
         self.stats.record_injected(origin);
         #[cfg(feature = "obs")]
@@ -284,6 +328,9 @@ impl ControlNetwork {
                 lag: lag_left,
             });
         }
+        self.schedule.insert(process_at, self.next_id);
+        let at = self.data_packets.partition_point(|&p| p <= packet);
+        self.data_packets.insert(at, packet);
         self.packets.push(ControlPacket {
             id: self.next_id,
             origin,
@@ -305,25 +352,33 @@ impl ControlNetwork {
 
     /// Processes every control packet due this cycle (`mesh.now() + 1`,
     /// the cycle the subsequent `mesh.step()` will execute). Call exactly
-    /// once per cycle, before stepping the mesh.
+    /// once per cycle, before stepping the mesh: a packet whose
+    /// `process_at` passes without a call is never processed.
+    // hot
     pub fn process(&mut self, mesh: &mut MeshNetwork) {
         let t = mesh.now() + 1;
-        let mut due: Vec<usize> = (0..self.packets.len())
-            .filter(|&i| self.packets[i].process_at == t)
-            .collect();
+        let mut due = std::mem::take(&mut self.due);
+        self.schedule.drain_through(t, &mut due);
+        // `packets` is in id order, so each due id is found by search.
+        let mut order = std::mem::take(&mut self.order);
+        order.extend(due.iter().filter(|&&(at, _)| at == t).map(|&(_, id)| {
+            self.packets
+                .binary_search_by_key(&id, |c| c.id)
+                .expect("a scheduled control packet is in flight")
+        }));
+        due.clear();
+        self.due = due;
         // Static priority: continuing segments first (they sit in the
         // closest multi-drop latches), then fresh LLC injections (NI
         // latch), then LSD injections (lowest priority). The rank
         // function is shared with the static analyzer, which proves it a
         // strict total order (unique ids break ties).
-        due.sort_by_key(|&i| {
+        order.sort_unstable_by_key(|&i| {
             let c = &self.packets[i];
             (priority_rank(c.pos > 0, c.origin), c.id)
         });
 
-        let mut claims: Vec<ClaimKey> = Vec::new();
-        let mut dropped_ids: Vec<u64> = Vec::new();
-        for &i in &due {
+        for &i in &order {
             let outcome = {
                 let cp = &mut self.packets[i];
                 if cp.lag == 0 {
@@ -336,9 +391,9 @@ impl ControlNetwork {
                     mesh.note_control_drop();
                     Some(DropReason::Fault)
                 } else {
-                    match claim_keys(&self.cfg, &cp.route, cp.origin, cp.pos) {
-                        Some(keys) if keys.iter().all(|k| !claims.contains(k)) => {
-                            claims.extend(keys);
+                    match segment_claims(&self.cfg, &cp.route, cp.origin, cp.pos) {
+                        Some(keys) if keys.iter().all(|k| !self.claims.contains(k)) => {
+                            self.claims.extend_from_slice(&keys);
                             #[cfg(feature = "obs")]
                             let stepped =
                                 step_segment(&self.cfg, mesh, cp, t, &mut self.stats, &self.obs);
@@ -351,28 +406,52 @@ impl ControlNetwork {
                     }
                 }
             };
-            if let Some(reason) = outcome {
-                let cp = &self.packets[i];
-                self.stats.record_drop(reason, cp.lag);
-                #[cfg(feature = "obs")]
-                {
-                    let pkt = cp.packet.0;
-                    let lag_left = cp.lag;
-                    let label = drop_reason_label(reason);
-                    self.obs.emit(t, || niobs::Event::ControlDropped {
-                        packet: pkt,
-                        reason: label,
-                        lag: lag_left,
-                    });
-                }
-                dropped_ids.push(cp.id);
+            let cp = &self.packets[i];
+            let Some(reason) = outcome else {
+                self.schedule.insert(cp.process_at, cp.id);
+                continue;
+            };
+            self.stats.record_drop(reason, cp.lag);
+            #[cfg(feature = "obs")]
+            {
+                let pkt = cp.packet.0;
+                let lag_left = cp.lag;
+                let label = drop_reason_label(reason);
+                self.obs.emit(t, || niobs::Event::ControlDropped {
+                    packet: pkt,
+                    reason: label,
+                    lag: lag_left,
+                });
             }
+            self.dropped_ids.push(cp.id);
         }
-        // Remove every drop in one order-preserving pass (ids are unique,
-        // so membership is exact even with several drops per cycle).
-        if !dropped_ids.is_empty() {
-            self.packets.retain(|c| !dropped_ids.contains(&c.id));
+        order.clear();
+        self.order = order;
+        self.claims.clear();
+        if !self.dropped_ids.is_empty() {
+            self.remove_dropped();
         }
+    }
+
+    /// Removes every dropped packet, keeping the others in order (ids
+    /// are unique, so membership is exact even with several drops per
+    /// cycle), and recycles the dropped packets' route storage.
+    fn remove_dropped(&mut self) {
+        let mut i = 0;
+        while i < self.packets.len() {
+            if !self.dropped_ids.contains(&self.packets[i].id) {
+                i += 1;
+                continue;
+            }
+            let cp = self.packets.remove(i);
+            let at = self
+                .data_packets
+                .binary_search(&cp.packet)
+                .expect("an in-flight control packet is indexed");
+            self.data_packets.remove(at);
+            self.free.push((cp.route, cp.chunk_of));
+        }
+        self.dropped_ids.clear();
     }
 }
 
@@ -466,6 +545,7 @@ fn plan_for(cfg: &NocConfig, cp: &ControlPacket, k: usize, landing: Landing) -> 
 
 /// Processes one multi-drop segment for `cp` at cycle `t`. Returns
 /// `Some(reason)` when the control packet must be dropped.
+// hot
 fn step_segment(
     cfg: &NocConfig,
     mesh: &mut MeshNetwork,
@@ -478,18 +558,12 @@ fn step_segment(
     let h = cp.route.hops();
     let (a, b) = segment_positions(&cp.route, cp.pos);
     #[cfg(feature = "obs")]
-    {
-        let pkt = cp.packet.0;
-        let node = cp.route.node_at(cfg, a).index() as u64;
-        let pos = u8::try_from(a).unwrap_or(u8::MAX);
-        let lag_left = cp.lag;
-        obs.emit(t, || niobs::Event::ControlSegment {
-            packet: pkt,
-            node,
-            pos,
-            lag: lag_left,
-        });
-    }
+    obs.emit(t, || niobs::Event::ControlSegment {
+        packet: cp.packet.0,
+        node: cp.route.node_at(cfg, a).index() as u64,
+        pos: u8::try_from(a).unwrap_or(u8::MAX),
+        lag: cp.lag,
+    });
     let due_a = cp.due0 + cp.chunk_of[a] as Cycle;
     // The data packet has caught up: nothing left to pre-allocate. A latch
     // conversion additionally needs the previous hop's first slot (one
@@ -569,9 +643,11 @@ fn step_segment(
     } else {
         plan_for(cfg, cp, a, provisional)
     };
-    if let Err(e) = mesh.check_hop(&a_plan) {
-        stats.alloc_fail_kinds[install_error_index(e)] += 1;
-        return Some(DropReason::AllocationFailed);
+    if !installed_b {
+        if let Err(e) = mesh.check_hop(&a_plan) {
+            stats.alloc_fail_kinds[install_error_index(e)] += 1;
+            return Some(DropReason::AllocationFailed);
+        }
     }
 
     // Commit: convert the previous landing (ACK), install `a` (+ `b`).
@@ -598,13 +674,15 @@ fn step_segment(
             cp.class,
         );
     }
-    mesh.install_hop(&a_plan).expect("checked plan installs");
+    // The ACK touches only the previous hop's resources, so both checks
+    // still hold.
+    mesh.commit_hop(&a_plan);
     stats.hops_preallocated += 1;
     let mut last_plan = a_plan;
     let mut last_pos = a;
     if installed_b {
         let plan = b_plan.expect("b was checked");
-        mesh.install_hop(&plan).expect("checked plan installs");
+        mesh.commit_hop(&plan);
         stats.hops_preallocated += 1;
         last_plan = plan;
         last_pos = b.expect("b exists");
@@ -660,6 +738,7 @@ fn step_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::chunk_positions;
     use noc::types::Direction;
 
     fn route(src: u16, dest: u16) -> Route {

@@ -7,10 +7,10 @@
 //! unit injects a control packet that pre-allocates resources for the
 //! stalled packet starting at the port-release cycle.
 
-use noc::mesh::MeshNetwork;
+use noc::mesh::{MeshNetwork, StalledHead};
 use noc::network::Network as _;
 use noc::reserve::FlitSource;
-use noc::types::Cycle;
+use noc::types::{Cycle, NodeId};
 
 use crate::control::ControlNetwork;
 
@@ -18,19 +18,35 @@ use crate::control::ControlNetwork;
 /// control packets for them (at most one per router per cycle — each
 /// router has a single LSD unit). Call once per cycle before
 /// [`ControlNetwork::process`].
+// hot
 pub fn scan_and_launch(mesh: &mut MeshNetwork, ctrl: &mut ControlNetwork) {
     if !ctrl.control_config().lsd {
         return;
     }
     let max_lag = ctrl.control_config().max_lag as Cycle;
     let t = mesh.now() + 1;
-    let mut launched_at: Vec<u16> = Vec::new();
-    for (node, in_port, vc, flit, out_port, _blocker, finish) in mesh.stalled_heads() {
-        let Some(release) = finish else { continue };
+    let mut stalled = std::mem::take(&mut ctrl.stalled);
+    mesh.stalled_heads_into(&mut stalled);
+    // Stalls come grouped by router, so the router of the last launch is
+    // the only one that can already have fired this cycle.
+    let mut launched_at: Option<NodeId> = None;
+    for head in &stalled {
+        let StalledHead {
+            node,
+            in_port,
+            vc,
+            flit,
+            out_port,
+            blocker_finish,
+            ..
+        } = *head;
+        let Some(release) = blocker_finish else {
+            continue;
+        };
         if release <= t || release - t > max_lag {
             continue;
         }
-        if launched_at.contains(&(node.index() as u16)) {
+        if launched_at == Some(node) {
             continue; // one LSD injection per router per cycle
         }
         if mesh.has_reservations(flit.packet) || ctrl.has_packet_for(flit.packet) {
@@ -61,8 +77,9 @@ pub fn scan_and_launch(mesh: &mut MeshNetwork, ctrl: &mut ControlNetwork) {
             t,
             release,
         );
-        launched_at.push(node.index() as u16);
+        launched_at = Some(node);
     }
+    ctrl.stalled = stalled;
 }
 
 #[cfg(test)]

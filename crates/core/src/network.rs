@@ -86,8 +86,10 @@ impl PraNetwork {
     /// Builds a Mesh+PRA network with an explicit control configuration
     /// (ablation studies switch the opportunity windows individually).
     pub fn with_control(cfg: NocConfig, ctrl: ControlConfig) -> Self {
+        let mut mesh = MeshNetwork::new(cfg.clone());
+        mesh.set_reservation_lag(ctrl.max_lag);
         PraNetwork {
-            mesh: MeshNetwork::new(cfg.clone()),
+            mesh,
             ctrl: ControlNetwork::new(cfg, ctrl),
             pending: Vec::new(),
             cancel: CancelToken::new(),
@@ -104,6 +106,7 @@ impl PraNetwork {
         &self.mesh
     }
 
+    // hot
     fn fire_pending(&mut self) {
         let t = self.mesh.now() + 1;
         let mut i = 0;
@@ -140,6 +143,7 @@ impl Network for PraNetwork {
         self.mesh.inject(packet);
     }
 
+    // hot
     fn step(&mut self) {
         if self.cancel.is_cancelled() {
             // The mesh advances the clock and skips its own work too.

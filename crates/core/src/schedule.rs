@@ -46,8 +46,16 @@ pub enum ClaimKey {
 /// assert_eq!(chunk_positions(&r, 2), vec![0, 0, 1, 1, 2, 2]);
 /// ```
 pub fn chunk_positions(route: &Route, hpc: u8) -> Vec<usize> {
+    let mut chunk_of = Vec::with_capacity(route.hops());
+    chunk_positions_into(route, hpc, &mut chunk_of);
+    chunk_of
+}
+
+/// [`chunk_positions`] into `chunk_of` (cleared first), reusing its
+/// storage.
+pub fn chunk_positions_into(route: &Route, hpc: u8, chunk_of: &mut Vec<usize>) {
     let dirs = route.dirs();
-    let mut chunk_of = Vec::with_capacity(dirs.len());
+    chunk_of.clear();
     let mut chunk = 0usize;
     let mut in_chunk = 0u8;
     for (i, d) in dirs.iter().enumerate() {
@@ -58,7 +66,6 @@ pub fn chunk_positions(route: &Route, hpc: u8) -> Vec<usize> {
         chunk_of.push(chunk);
         in_chunk += 1;
     }
-    chunk_of
 }
 
 /// The route positions a segment processes when the packet's next
@@ -87,24 +94,55 @@ pub fn claim_keys(
     origin: ControlOrigin,
     pos: usize,
 ) -> Option<Vec<ClaimKey>> {
+    segment_claims(cfg, route, origin, pos).map(|keys| keys.to_vec())
+}
+
+/// [`claim_keys`] without the allocation: the one or two claims of the
+/// segment at `pos`, as a slice-like value.
+pub fn segment_claims(
+    cfg: &NocConfig,
+    route: &Route,
+    origin: ControlOrigin,
+    pos: usize,
+) -> Option<SegmentClaims> {
     let (a, b) = segment_positions(route, pos);
     let node_a = route.node_at(cfg, a);
-    let mut keys = Vec::with_capacity(2);
-    if a == 0 {
-        keys.push(match origin {
+    let first = if a == 0 {
+        match origin {
             ControlOrigin::Llc => ClaimKey::Ni(node_a.index() as u16),
             ControlOrigin::Lsd => ClaimKey::Lsd(node_a.index() as u16),
-        });
+        }
     } else {
         let dir_in = route.dir_at(a - 1)?;
-        keys.push(ClaimKey::MultiDrop(node_a.index() as u16, dir_in as usize));
-    }
+        ClaimKey::MultiDrop(node_a.index() as u16, dir_in as usize)
+    };
+    let mut claims = SegmentClaims {
+        keys: [first; 2],
+        len: 1,
+    };
     if let Some(b) = b {
         let node_b = route.node_at(cfg, b);
         let dir_in = route.dir_at(b - 1)?;
-        keys.push(ClaimKey::MultiDrop(node_b.index() as u16, dir_in as usize));
+        claims.keys[1] = ClaimKey::MultiDrop(node_b.index() as u16, dir_in as usize);
+        claims.len = 2;
     }
-    Some(keys)
+    Some(claims)
+}
+
+/// The one or two latch claims of a segment (see [`segment_claims`]);
+/// dereferences to a slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentClaims {
+    keys: [ClaimKey; 2],
+    len: usize,
+}
+
+impl std::ops::Deref for SegmentClaims {
+    type Target = [ClaimKey];
+
+    fn deref(&self) -> &[ClaimKey] {
+        &self.keys[..self.len]
+    }
 }
 
 /// The static priority rank of a control packet contending for a latch:

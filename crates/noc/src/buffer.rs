@@ -278,6 +278,13 @@ impl InputUnit {
             .all(|&(c, p)| p == packet || !cycles.contains(&c))
     }
 
+    /// Makes room for `n` latch claims in total, so claims up to that
+    /// many never allocate.
+    pub fn reserve_latch_claims(&mut self, n: usize) {
+        self.latch_claims
+            .reserve(n.saturating_sub(self.latch_claims.len()));
+    }
+
     /// Claims the latch for `packet` over `cycles`.
     pub fn latch_claim(&mut self, cycles: std::ops::Range<Cycle>, packet: PacketId) {
         for c in cycles {
@@ -299,6 +306,11 @@ impl InputUnit {
         while matches!(self.latch_claims.front(), Some(&(c, _)) if c < now) {
             self.latch_claims.pop_front();
         }
+    }
+
+    /// The earliest cycle the latch is claimed for, if any.
+    pub fn first_latch_claim(&self) -> Option<Cycle> {
+        self.latch_claims.front().map(|&(c, _)| c)
     }
 
     /// Whether any latch claims are outstanding (past or future).

@@ -45,6 +45,7 @@
 
 pub mod arbiter;
 pub mod buffer;
+pub mod calendar;
 pub mod cancel;
 pub mod config;
 pub mod credit;

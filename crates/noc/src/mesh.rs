@@ -19,6 +19,7 @@
 
 use crate::arbiter::RoundRobin;
 use crate::buffer::InputUnit;
+use crate::calendar::Calendar;
 use crate::cancel::CancelToken;
 use crate::config::NocConfig;
 use crate::credit::{MultiFlitGuard, OutVc};
@@ -38,7 +39,7 @@ use crate::watchdog::AuditReport;
 #[cfg(feature = "obs")]
 use niobs::Event;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// West-first turn-model state of a flit sitting at input port `in_port`:
 /// `true` iff every hop it has taken so far went west, so a further west
@@ -65,8 +66,9 @@ struct Router {
     out_vcs: Vec<OutVc>,
     /// Multi-flit interleaving guards, flattened `port * vcs + vc`.
     guards: Vec<MultiFlitGuard>,
-    /// PRA timeslot tables, one per output port.
-    schedules: Vec<OutputSchedule>,
+    /// PRA timeslot tables, one per output port (inline: the
+    /// reservation paths reach them once per calendar entry).
+    schedules: [OutputSchedule; Port::COUNT],
     /// Which packet each input VC is currently streaming to which output
     /// port, flattened `in_port * vcs + vc`.
     active_out: Vec<Option<ActiveStream>>,
@@ -100,7 +102,7 @@ impl Router {
             guards: (0..Port::COUNT * vcs)
                 .map(|_| MultiFlitGuard::new())
                 .collect(),
-            schedules: (0..Port::COUNT).map(|_| OutputSchedule::new()).collect(),
+            schedules: std::array::from_fn(|_| OutputSchedule::new()),
             active_out: vec![None; Port::COUNT * vcs],
             port_lock: vec![None; Port::COUNT],
             sa_in: (0..Port::COUNT).map(|_| RoundRobin::new(vcs)).collect(),
@@ -203,6 +205,32 @@ struct CreditReturn {
     vc: usize,
 }
 
+/// Whether `r` is the chain head `(seq, packet)` filed in the calendar.
+fn is_head_of(r: Reservation, seq: u8, packet: u64) -> bool {
+    r.packet.0 == packet && r.seq == seq && !matches!(r.source, FlitSource::Bypass { .. })
+}
+
+/// A chain head `(seq, packet, node, port)` packed most significant
+/// field first, so integer order is the tuple order chains execute in
+/// (and sorting integers is cheaper than sorting tuples).
+fn chain_head(seq: u8, packet: PacketId, node: u16, port: u8) -> u128 {
+    (u128::from(seq) << 88)
+        | (u128::from(packet.0) << 24)
+        | (u128::from(node) << 8)
+        | u128::from(port)
+}
+
+/// Inverse of [`chain_head`]: `(seq, packet, node, port)`.
+fn unpack_chain_head(h: u128) -> (u8, u64, usize, Port) {
+    // Lossless: each field was packed from a value of its width.
+    (
+        (h >> 88) as u8,
+        (h >> 24) as u64,
+        ((h >> 8) & 0xffff) as usize,
+        Port::from_index((h & 0xff) as usize),
+    )
+}
+
 /// Result of validating a pre-allocated chain before execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ChainCheck {
@@ -225,6 +253,142 @@ struct ResvLoc {
     cycle: Cycle,
 }
 
+/// Every packet's installed reservation locations, sorted by packet id
+/// (the order the digest has always serialised). A sorted deque with
+/// recycled location lists instead of a `BTreeMap`: installs and
+/// completions churn entries every few cycles, and the tree allocated a
+/// node or a list for each. Ids mostly arrive in increasing order and
+/// complete roughly in order, so inserts land near the back and removals
+/// near the front, where a deque shifts few entries.
+#[derive(Debug, Default)]
+struct ResvIndex {
+    entries: VecDeque<(PacketId, Vec<ResvLoc>)>,
+    /// Emptied location lists, kept for the next packet.
+    free: Vec<Vec<ResvLoc>>,
+}
+
+impl ResvIndex {
+    fn find(&self, packet: PacketId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&packet, |(p, _)| *p)
+    }
+
+    fn contains(&self, packet: PacketId) -> bool {
+        self.find(packet).is_ok()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// `packet`'s location list, created empty if absent.
+    fn list_mut(&mut self, packet: PacketId) -> &mut Vec<ResvLoc> {
+        let i = match self.find(packet) {
+            Ok(i) => i,
+            Err(i) => {
+                let list = self.free.pop().unwrap_or_default();
+                self.entries.insert(i, (packet, list));
+                i
+            }
+        };
+        &mut self.entries[i].1
+    }
+
+    /// Takes `packet`'s location list out (leaving an empty list in
+    /// place), or `None` when it holds no reservations.
+    fn take(&mut self, packet: PacketId) -> Option<(usize, Vec<ResvLoc>)> {
+        let i = self.find(packet).ok()?;
+        Some((i, std::mem::take(&mut self.entries[i].1)))
+    }
+
+    /// Puts back the list taken from entry `i`, dropping the entry (and
+    /// recycling the list) when it is empty.
+    fn restore(&mut self, i: usize, list: Vec<ResvLoc>) {
+        if list.is_empty() {
+            self.entries.remove(i);
+            self.free.push(list);
+        } else {
+            self.entries[i].1 = list;
+        }
+    }
+}
+
+/// What a reservation-calendar entry asks to be serviced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum ResvKind {
+    /// An output port holding a timeslot at the entry's cycle: a chain
+    /// head to execute at that cycle, an expiry one cycle later.
+    Slot,
+    /// An input port whose latch claims start at the entry's cycle: an
+    /// expiry one cycle later.
+    Latch,
+}
+
+/// The port a reservation-calendar entry services. Ordered
+/// `(node, kind, port)`: the order the full per-router scan used to
+/// service expiries in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct ResvKey {
+    node: u16,
+    kind: ResvKind,
+    port: u8,
+}
+
+impl ResvKey {
+    fn new(node: usize, kind: ResvKind, port: Port) -> Self {
+        ResvKey {
+            // Lossless: node ids are `u16` (`NodeId`), port indices < 5.
+            node: node as u16,
+            kind,
+            port: port.index() as u8,
+        }
+    }
+
+    fn port(self) -> Port {
+        Port::from_index(self.port as usize)
+    }
+}
+
+/// A reservation-calendar entry: the port, plus — for a slot that was a
+/// chain head when filed — the flit it reserves, so chain heads are
+/// collected and ordered without a schedule lookup per entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ResvEntry {
+    key: ResvKey,
+    /// Whether the slot was a chain head (a non-bypass source) when filed.
+    head: bool,
+    /// The head's flit sequence number.
+    seq: u8,
+    /// The head's packet.
+    packet: PacketId,
+}
+
+impl ResvEntry {
+    /// An entry that only schedules service of `key`'s port.
+    fn service(key: ResvKey) -> Self {
+        ResvEntry {
+            key,
+            head: false,
+            seq: 0,
+            packet: PacketId(0),
+        }
+    }
+}
+
+/// Calendar horizon for reservations made by a control plane with lag
+/// budget `max_lag`: a launch's data head is due at most `max_lag`
+/// cycles after the launch, a control packet allocates at most
+/// `2 * max_lag - 1` route positions (one on its first segment, up to
+/// two on each later one, one segment per unit of lag) with at most one
+/// single-cycle chunk each, its packet's flits take one slot each, and
+/// the ejection slot and a latch claim reach one cycle further. So every
+/// slot and latch claim lies less than this many cycles past the
+/// current one, whatever the route's length. Installs beyond it stay
+/// correct (calendar entries carry their cycle); they only share a
+/// bucket with an earlier cycle.
+pub fn reservation_horizon(cfg: &NocConfig, max_lag: u8) -> Cycle {
+    3 * Cycle::from(max_lag) + Cycle::from(cfg.max_packet_len) + 1
+}
+
 /// Reusable per-cycle working buffers. Every buffer is drained or
 /// cleared before it is returned here, so the scratch never carries
 /// architectural state between cycles and is deliberately excluded from
@@ -238,10 +402,17 @@ struct StepScratch {
     arrivals_free: Vec<Arrival>,
     /// Empty buffer ping-ponged with [`MeshNetwork::grants`].
     grants_free: Vec<Grant>,
-    /// `(node, in_port, vc)` buffers read by a grant this cycle.
-    read_this_cycle: Vec<(usize, Port, usize)>,
-    /// Reservation chain heads pending execution this cycle.
-    heads: Vec<(u8, u64, usize, Port)>,
+    /// Reservation chain heads pending execution this cycle, packed by
+    /// [`chain_head`].
+    heads: Vec<u128>,
+    /// Reservation-calendar entries due for expiry this cycle.
+    resv_due: Vec<(Cycle, ResvEntry)>,
+    /// Output ports holding a past (wasted) slot this cycle.
+    resv_wasted: Vec<ResvKey>,
+    /// Input latches whose claims were expired this cycle.
+    resv_refiled: Vec<ResvKey>,
+    /// Slots removed by an expiry or a cancellation, pending release.
+    removed: Vec<(Cycle, Reservation)>,
     /// Stage-1 switch-allocation bids: `(in_port, vc, out_port, flit)`.
     bids: Vec<(Port, usize, Port, Flit)>,
     /// Per-VC eligibility mask, sized `vcs_per_port`.
@@ -275,6 +446,28 @@ pub struct HopPlan {
     /// paper's PRA always books the full packet (`len`); flit-granular
     /// schemes (FRFC) book only their peak occupancy.
     pub reserve: u8,
+}
+
+/// A packet stalled behind another packet's stream, reported to the Long
+/// Stall Detection unit by [`MeshNetwork::stalled_heads_into`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StalledHead {
+    /// Router holding the stalled packet.
+    pub node: NodeId,
+    /// Input port of the stalled packet's VC.
+    pub in_port: Port,
+    /// The stalled packet's VC.
+    pub vc: usize,
+    /// The stalled packet's head flit.
+    pub flit: Flit,
+    /// Output port the head wants.
+    pub out_port: Port,
+    /// Packet whose stream holds that port.
+    pub blocker: PacketId,
+    /// `Some(cycle)` when the blocking stream drains deterministically
+    /// (all its remaining flits buffered here with enough downstream
+    /// credits); the port is free for traversals at cycles `>= cycle`.
+    pub blocker_finish: Option<Cycle>,
 }
 
 /// Why a [`HopPlan`] could not be installed.
@@ -342,9 +535,25 @@ pub struct MeshNetwork {
     grants: Vec<Grant>,
     arrivals: Vec<Arrival>,
     credit_returns: Vec<CreditReturn>,
-    resv_index: BTreeMap<PacketId, Vec<ResvLoc>>,
+    resv_index: ResvIndex,
+    /// Which output ports hold a slot, and which input latches hold
+    /// claims, per cycle — derived from the schedules and latch claims,
+    /// excluded from the digest. Filled by `commit_hop` and
+    /// `convert_landing`; `execute_reservations` and
+    /// `expire_reservations` visit only the entries due now. A stale
+    /// entry (its slot taken or cancelled since) finds nothing to do.
+    resv_cal: Calendar<ResvEntry>,
+    /// Slots (and latch claims) a port can hold at once under the
+    /// control plane's lag contract, set by
+    /// [`MeshNetwork::set_reservation_lag`]; a port's table is sized to
+    /// it on first use, so steady-state installs never allocate. Zero
+    /// (no contract declared) leaves the tables to grow on demand.
+    resv_port_capacity: usize,
     /// Flit traversals per directed link, indexed `node * 4 + direction`.
     link_use: Vec<u64>,
+    /// Cycle each input VC was last read by a reactive grant, indexed by
+    /// [`MeshNetwork::input_vc_index`] (derived, excluded from the digest).
+    read_at: Vec<Cycle>,
     stats: NetStats,
     /// Fault-injection state; `None` (no plan configured) makes every
     /// fault hook a no-op and the datapath bit-identical to a build
@@ -379,9 +588,6 @@ pub struct MeshNetwork {
     /// holds no buffered flits (while `true` may be stale). Skipping a
     /// `false` node is therefore bit-exact, never a behaviour change.
     buffered_nodes: Vec<bool>,
-    /// Same contract for output-schedule entries plus latch claims
-    /// (set on install, cleared lazily by `expire_reservations`).
-    resv_nodes: Vec<bool>,
     /// Same contract for NI source-queue occupancy (set on inject,
     /// cleared lazily by `inject_from_sources`).
     source_nodes: Vec<bool>,
@@ -419,15 +625,17 @@ impl MeshNetwork {
             grants: Vec::new(),
             arrivals: Vec::new(),
             credit_returns: Vec::new(),
-            resv_index: BTreeMap::new(),
+            resv_index: ResvIndex::default(),
+            resv_cal: Calendar::new(reservation_horizon(&cfg, 0)),
+            resv_port_capacity: 0,
             link_use: vec![0; n * 4],
+            read_at: vec![0; n * Port::COUNT * cfg.vcs_per_port],
             stats: NetStats::new(),
             cancel: CancelToken::new(),
             scratch,
             skip_ahead: true,
             idle: false,
             buffered_nodes: vec![false; n],
-            resv_nodes: vec![false; n],
             source_nodes: vec![false; n],
             cfg,
             now: 0,
@@ -459,6 +667,25 @@ impl MeshNetwork {
     /// may only target cycles `>= upcoming_cycle()`.
     pub fn upcoming_cycle(&self) -> Cycle {
         self.now + 1
+    }
+
+    /// Sizes the reservation calendar for a control plane that reserves
+    /// up to `max_lag` cycles ahead (see [`reservation_horizon`]). Call
+    /// before any reservation is installed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if reservations are already installed.
+    pub fn set_reservation_lag(&mut self, max_lag: u8) {
+        assert!(
+            self.resv_cal.is_empty(),
+            "the reservation calendar is sized before any install"
+        );
+        let horizon = reservation_horizon(&self.cfg, max_lag);
+        self.resv_cal = Calendar::new(horizon);
+        // Every live slot of a port lies within one horizon of the
+        // current cycle, one slot per cycle; likewise latch claims.
+        self.resv_port_capacity = usize::try_from(horizon).expect("horizon fits in memory");
     }
 
     /// Checks whether `plan` can be installed without touching any state.
@@ -555,14 +782,48 @@ impl MeshNetwork {
     /// nothing is modified on failure.
     pub fn install_hop(&mut self, plan: &HopPlan) -> Result<(), InstallError> {
         self.check_hop(plan)?;
+        self.commit_hop(plan);
+        Ok(())
+    }
+
+    /// Installs `plan` without repeating [`MeshNetwork::check_hop`]: the
+    /// caller has checked it and changed nothing the check reads since.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if the check no longer passes.
+    // hot
+    pub fn commit_hop(&mut self, plan: &HopPlan) {
+        debug_assert_eq!(self.check_hop(plan), Ok(()), "commit of an unchecked hop");
         let node = plan.node.index();
         let p = plan.out_port.index();
         let vc = plan.class.vc();
         let window = plan.start..plan.start + plan.len as Cycle;
+        // Under a declared lag contract, every slot and latch claim lies
+        // within the horizon (what sizes the per-port tables).
+        debug_assert!(
+            self.resv_port_capacity == 0
+                || window.end < self.now + self.resv_port_capacity as Cycle,
+            "install at {window:?} beyond the reservation horizon from cycle {}",
+            self.now
+        );
 
+        let key = ResvKey::new(node, ResvKind::Slot, plan.out_port);
+        let is_head = !matches!(plan.source, FlitSource::Bypass { .. });
+        self.routers[node].schedules[p].reserve_total(self.resv_port_capacity);
+        let locs = self.resv_index.list_mut(plan.packet);
         for s in 0..plan.len {
+            let cycle = plan.start + s as Cycle;
+            locs.push(ResvLoc {
+                node,
+                out_port: plan.out_port,
+                cycle,
+            });
+        }
+        for s in 0..plan.len {
+            let cycle = plan.start + s as Cycle;
             let ok = self.routers[node].schedules[p].try_insert(
-                plan.start + s as Cycle,
+                cycle,
                 Reservation {
                     packet: plan.packet,
                     seq: s,
@@ -571,14 +832,15 @@ impl MeshNetwork {
                 },
             );
             debug_assert!(ok, "checked slot must insert");
-            self.resv_index
-                .entry(plan.packet)
-                .or_default()
-                .push(ResvLoc {
-                    node,
-                    out_port: plan.out_port,
-                    cycle: plan.start + s as Cycle,
-                });
+            self.resv_cal.insert(
+                cycle,
+                ResvEntry {
+                    key,
+                    head: is_head,
+                    seq: s,
+                    packet: plan.packet,
+                },
+            );
         }
         match plan.landing {
             Landing::Vc(lvc) if plan.out_port != Port::Local => {
@@ -595,14 +857,11 @@ impl MeshNetwork {
                 let in_port = Port::Dir(dir.opposite());
                 // Occupied from each flit's store cycle through its read in
                 // the following cycle.
-                self.routers[next.index()].inputs[in_port.index()]
-                    .latch_claim(window.start..window.end + 1, plan.packet);
-                self.resv_nodes[next.index()] = true;
+                self.claim_latch(next.index(), in_port, window, plan.packet);
             }
             _ => {}
         }
         self.routers[node].guard_mut(p, vc).set(plan.packet);
-        self.resv_nodes[node] = true;
         self.idle = false;
         #[cfg(feature = "obs")]
         self.emit(|| Event::ReservationInstalled {
@@ -612,7 +871,6 @@ impl MeshNetwork {
             start: plan.start,
             len: plan.len,
         });
-        Ok(())
     }
 
     /// Converts a previously installed full-buffer landing into `landing`
@@ -650,10 +908,26 @@ impl MeshNetwork {
             let in_port = Port::Dir(dir.opposite());
             // The latch is occupied from the store cycle through the read
             // cycle of the last flit: one cycle beyond the write window.
-            self.routers[next.index()].inputs[in_port.index()]
-                .latch_claim(window.start..window.end + 1, packet);
-            self.resv_nodes[next.index()] = true;
+            self.claim_latch(next.index(), in_port, window, packet);
         }
+    }
+
+    /// Claims the latch of `(node, in_port)` for `packet` from the store
+    /// cycle of `window`'s first flit through the read cycle of its last,
+    /// and files the claims' expiry in the reservation calendar.
+    // hot
+    fn claim_latch(
+        &mut self,
+        node: usize,
+        in_port: Port,
+        window: std::ops::Range<Cycle>,
+        packet: PacketId,
+    ) {
+        let iu = &mut self.routers[node].inputs[in_port.index()];
+        iu.reserve_latch_claims(self.resv_port_capacity);
+        iu.latch_claim(window.start..window.end + 1, packet);
+        let key = ResvKey::new(node, ResvKind::Latch, in_port);
+        self.resv_cal.insert(window.start, ResvEntry::service(key));
     }
 
     /// Whether the latch of `(node, in_port)` is free for `packet` over
@@ -671,7 +945,7 @@ impl MeshNetwork {
     /// Whether `packet` holds any outstanding reservation anywhere in the
     /// network (used to avoid launching redundant control packets).
     pub fn has_reservations(&self, packet: PacketId) -> bool {
-        self.resv_index.contains_key(&packet)
+        self.resv_index.contains(packet)
     }
 
     /// How many of `packet`'s slots remain on `(node, out_port)` within
@@ -684,10 +958,7 @@ impl MeshNetwork {
         packet: PacketId,
         window: std::ops::Range<Cycle>,
     ) -> usize {
-        self.routers[node.index()].schedules[out_port.index()]
-            .iter()
-            .filter(|(c, r)| window.contains(c) && r.packet == packet)
-            .count()
+        self.routers[node.index()].schedules[out_port.index()].count_in(window, packet)
     }
 
     /// Read access to an output schedule (for the control plane's
@@ -721,17 +992,14 @@ impl MeshNetwork {
             .count_of(packet)
     }
 
-    /// Reports stalled packets for the Long Stall Detection unit: for each
-    /// input VC whose front is a head flit that wants an output port
-    /// currently streaming another packet, returns
-    /// `(node, in_port, vc, head flit, out_port, blocker, blocker_finish)`
-    /// where `blocker_finish` is `Some(cycle)` when the blocking stream
-    /// drains deterministically (all its remaining flits buffered here with
-    /// enough downstream credits); the port is free for traversals at
-    /// cycles `>= cycle`.
-    #[allow(clippy::type_complexity)]
-    pub fn stalled_heads(&self) -> Vec<(NodeId, Port, usize, Flit, Port, PacketId, Option<Cycle>)> {
-        let mut out = Vec::new();
+    /// Reports stalled packets for the Long Stall Detection unit into
+    /// `out` (cleared first): one [`StalledHead`] for each input VC whose
+    /// front is a head flit that wants an output port currently streaming
+    /// another packet, in `(node, in_port, vc)` order.
+    // hot
+    pub fn stalled_heads_into(&self, out: &mut Vec<StalledHead>) {
+        out.clear();
+        let vcs = self.cfg.vcs_per_port;
         for (n, router) in self.routers.iter().enumerate() {
             // `buffered_nodes[n] == false` proves the router holds no
             // flits, hence no fronts and no stalls; `active_count == 0`
@@ -740,12 +1008,23 @@ impl MeshNetwork {
             if !self.buffered_nodes[n] || router.active_count == 0 {
                 continue;
             }
+            // The first stream, in (input port, VC) order, holding each
+            // output port: built once per router instead of once per
+            // stalled front.
+            let mut holder: [Option<(usize, ActiveStream)>; Port::COUNT] = [None; Port::COUNT];
+            for ip in 0..Port::COUNT {
+                for v in 0..vcs {
+                    if let Some(st) = router.active(ip, v) {
+                        holder[st.out_port.index()].get_or_insert((v, st));
+                    }
+                }
+            }
             let here = NodeId::new(n as u16);
             for in_port in Port::ALL {
                 if router.inputs[in_port.index()].buffered_flits() == 0 {
                     continue;
                 }
-                for vc in 0..self.cfg.vcs_per_port {
+                for vc in 0..vcs {
                     let Some(front) = router.inputs[in_port.index()].vc(vc).front() else {
                         continue;
                     };
@@ -760,28 +1039,47 @@ impl MeshNetwork {
                         continue;
                     }
                     let p = out_port.index();
-                    // Find the stream currently holding that port (any input
-                    // VC actively sending to it).
-                    let mut blocking: Option<(usize, ActiveStream)> = None;
-                    'scan: for ip in 0..Port::COUNT {
-                        for v in 0..self.cfg.vcs_per_port {
-                            if let Some(st) = router.active(ip, v) {
-                                if st.out_port.index() == p && st.packet != front.packet {
-                                    blocking = Some((v, st));
-                                    break 'scan;
-                                }
-                            }
+                    // The blocker is the first stream on the port that is
+                    // not the front's own packet.
+                    let blocking = match holder[p] {
+                        Some((_, st)) if st.packet == front.packet => {
+                            Self::other_stream_on(router, p, front.packet, vcs)
                         }
-                    }
+                        first => first,
+                    };
                     let Some((blk_vc, stream)) = blocking else {
                         continue;
                     };
-                    let finish = self.deterministic_finish(here, blk_vc, stream, out_port);
-                    out.push((here, in_port, vc, *front, out_port, stream.packet, finish));
+                    out.push(StalledHead {
+                        node: here,
+                        in_port,
+                        vc,
+                        flit: *front,
+                        out_port,
+                        blocker: stream.packet,
+                        blocker_finish: self.deterministic_finish(here, blk_vc, stream, out_port),
+                    });
                 }
             }
         }
-        out
+    }
+
+    /// The first stream, in (input port, VC) order, holding output port
+    /// `p` for a packet other than `packet`.
+    fn other_stream_on(
+        router: &Router,
+        p: usize,
+        packet: PacketId,
+        vcs: usize,
+    ) -> Option<(usize, ActiveStream)> {
+        (0..Port::COUNT)
+            .flat_map(|ip| (0..vcs).map(move |v| (ip, v)))
+            .find_map(|(ip, v)| {
+                router
+                    .active(ip, v)
+                    .filter(|st| st.out_port.index() == p && st.packet != packet)
+                    .map(|st| (v, st))
+            })
     }
 
     /// Predicts when the blocking `stream` frees `out_port`. The paper's
@@ -1022,9 +1320,22 @@ impl MeshNetwork {
         }
     }
 
+    /// Flat index of input VC `(node, in_port, vc)` into [`MeshNetwork::read_at`].
+    #[inline]
+    fn input_vc_index(&self, node: usize, in_port: Port, vc: usize) -> usize {
+        (node * Port::COUNT + in_port.index()) * self.cfg.vcs_per_port + vc
+    }
+
+    /// Whether a reactive grant read input VC `(node, in_port, vc)` this
+    /// cycle (a chain may not read the same buffer in the same cycle).
+    #[inline]
+    fn read_this_cycle(&self, node: usize, in_port: Port, vc: usize) -> bool {
+        self.read_at[self.input_vc_index(node, in_port, vc)] == self.now
+    }
+
     /// Executes reactive grants decided in the previous cycle.
     // hot
-    fn execute_grants(&mut self, read_this_cycle: &mut Vec<(usize, Port, usize)>) {
+    fn execute_grants(&mut self) {
         let mut grants = std::mem::replace(
             &mut self.grants,
             std::mem::take(&mut self.scratch.grants_free),
@@ -1042,7 +1353,8 @@ impl MeshNetwork {
                     ),
                 }
             };
-            read_this_cycle.push((g.node, g.in_port, g.vc));
+            let at = self.input_vc_index(g.node, g.in_port, g.vc);
+            self.read_at[at] = self.now;
             self.finish_traversal(g.node, g.in_port, g.vc, g.out_port, flit, false);
         }
         self.scratch.grants_free = grants;
@@ -1125,36 +1437,43 @@ impl MeshNetwork {
     /// Executes reservations scheduled for the current cycle (the PRA
     /// arbiter's cycle: preset crossbars, up to `max_hops_per_cycle` hops).
     // hot
-    fn execute_reservations(&mut self, read_this_cycle: &[(usize, Port, usize)]) {
+    fn execute_reservations(&mut self) {
         // Collect chain heads: reservations at `now` whose source is not a
         // bypass (bypass slots are consumed as chain continuations).
         // Executed in ascending flit-sequence order: within a packet the
         // chain that READS a latch moves flit `s` while the upstream chain
         // WRITES flit `s + 1` into the same latch this cycle, so the read
         // must come first.
+        //
+        // Candidates come from the calendar as filed at install time; a
+        // stale one (its slot taken, cancelled or re-installed since)
+        // no longer matches its slot and is passed over. Chains never
+        // install slots, so a candidate that matches when its turn comes
+        // matched before the first chain ran: the executed set and order
+        // are those of a scan of every schedule taken up front.
         let mut heads = std::mem::take(&mut self.scratch.heads);
-        for (n, router) in self.routers.iter().enumerate() {
-            if !self.resv_nodes[n] {
+        heads.extend(
+            self.resv_cal
+                .due(self.now)
+                .filter(|e| e.head)
+                .map(|e| chain_head(e.seq, e.packet, e.key.node, e.key.port)),
+        );
+        heads.sort_unstable();
+        heads.dedup();
+        #[cfg(debug_assertions)]
+        self.assert_heads_complete(&heads);
+        for &head in &heads {
+            let (seq, packet, node, out_port) = unpack_chain_head(head);
+            let sched = &mut self.routers[node].schedules[out_port.index()];
+            // Also skips a slot consumed by an earlier chain this cycle.
+            if !sched
+                .get(self.now)
+                .is_some_and(|r| is_head_of(r, seq, packet))
+            {
                 continue;
             }
-            for out_port in Port::ALL {
-                let sched = &router.schedules[out_port.index()];
-                if sched.is_empty() {
-                    continue;
-                }
-                if let Some(r) = sched.get(self.now) {
-                    if !matches!(r.source, FlitSource::Bypass { .. }) {
-                        heads.push((r.seq, r.packet.0, n, out_port));
-                    }
-                }
-            }
-        }
-        heads.sort_unstable();
-        for &(_, _, node, out_port) in &heads {
-            let Some(resv) = self.routers[node].schedules[out_port.index()].take(self.now) else {
-                continue; // consumed by an earlier chain this cycle
-            };
-            self.execute_chain(node, out_port, resv, read_this_cycle);
+            let resv = sched.take(self.now).expect("matched slot");
+            self.execute_chain(node, out_port, resv);
         }
         heads.clear();
         self.scratch.heads = heads;
@@ -1179,7 +1498,13 @@ impl MeshNetwork {
     /// checked against the fault horizon of its traversal cycle; a
     /// faulted link cancels the chain ([`ChainCheck::Faulted`]) so the
     /// flit falls back to reactive routing.
-    fn chain_check(&self, node: usize, out_port: Port, resv: &Reservation) -> ChainCheck {
+    fn chain_check(
+        &self,
+        node: usize,
+        out_port: Port,
+        resv: &Reservation,
+        dest: Option<NodeId>,
+    ) -> ChainCheck {
         if matches!(resv.source, FlitSource::Latch { .. }) {
             return ChainCheck::Ok;
         }
@@ -1188,7 +1513,7 @@ impl MeshNetwork {
         let mut landing = resv.landing;
         let mut cycle = self.now;
         let (packet, seq) = (resv.packet, resv.seq);
-        let Some(dest) = self.find_resv_dest(packet) else {
+        let Some(dest) = dest else {
             return ChainCheck::Unsound;
         };
         loop {
@@ -1264,19 +1589,40 @@ impl MeshNetwork {
         }
     }
 
-    /// Destination of `packet`, looked up from the delivery ledger.
-    fn find_resv_dest(&self, packet: PacketId) -> Option<NodeId> {
-        self.ledger.dest_of(packet)
+    /// The destination [`MeshNetwork::chain_check`] walks toward, or
+    /// `None` when the chain is known to waste whatever the check says.
+    ///
+    /// The flit a buffer-source chain moves is its buffer's front, which
+    /// carries the destination, so the ledger is searched only when the
+    /// front is not that flit. Then the chain wastes on the fetch if the
+    /// check passes, so the check's verdict matters only when it could
+    /// be `Faulted` (counted apart): without fault injection it is
+    /// skipped outright.
+    fn chain_dest(&self, node: usize, resv: &Reservation) -> Option<Option<NodeId>> {
+        let FlitSource::Vc { port, vc } = resv.source else {
+            // Latch sources pass the check without a destination.
+            return Some(None);
+        };
+        match self.routers[node].inputs[port.index()].vc(vc).front() {
+            Some(f)
+                if f.packet == resv.packet
+                    && f.seq == resv.seq
+                    && !self.read_this_cycle(node, port, vc) =>
+            {
+                debug_assert_eq!(Some(f.dest), self.ledger.dest_of(resv.packet));
+                Some(Some(f.dest))
+            }
+            _ if self.faults.is_none() => None,
+            _ => Some(self.ledger.dest_of(resv.packet)),
+        }
     }
 
-    fn execute_chain(
-        &mut self,
-        node: usize,
-        out_port: Port,
-        resv: Reservation,
-        read_this_cycle: &[(usize, Port, usize)],
-    ) {
-        match self.chain_check(node, out_port, &resv) {
+    fn execute_chain(&mut self, node: usize, out_port: Port, resv: Reservation) {
+        let Some(dest) = self.chain_dest(node, &resv) else {
+            self.waste_and_cancel(node, out_port, self.now, resv);
+            return;
+        };
+        match self.chain_check(node, out_port, &resv, dest) {
             ChainCheck::Ok => {}
             verdict => {
                 if verdict == ChainCheck::Faulted {
@@ -1291,7 +1637,7 @@ impl MeshNetwork {
         // 1. Fetch the expected flit.
         let fetched: Option<(Flit, Port, usize)> = match resv.source {
             FlitSource::Vc { port, vc } => {
-                let already_read = read_this_cycle.contains(&(node, port, vc));
+                let already_read = self.read_this_cycle(node, port, vc);
                 let buf = self.routers[node].inputs[port.index()].vc_mut(vc);
                 match buf.front() {
                     Some(f) if f.packet == resv.packet && f.seq == resv.seq && !already_read => {
@@ -1427,7 +1773,7 @@ impl MeshNetwork {
                         .route_out(next, flit.dest, west_ok_from(next_in))
                         .expect("validated chain stays routable");
                     let next_sched = &mut self.routers[next.index()].schedules[cont_port.index()];
-                    match next_sched.get(self.now).copied() {
+                    match next_sched.get(self.now) {
                         Some(r2)
                             if r2.packet == flit.packet
                                 && r2.seq == flit.seq
@@ -1477,7 +1823,7 @@ impl MeshNetwork {
         });
         // The reservation was already taken from the schedule; release the
         // resources it held.
-        self.release_cancelled(node, out_port, packet, &[(cycle, resv)]);
+        self.release_cancelled(node, out_port, &[(cycle, resv)]);
         // Cancel across every router the packet has slots on, from the next
         // cycle onward (slots for the current cycle at other routers are
         // earlier flits mid-chain). Cancelled slots were allocated and will
@@ -1485,10 +1831,17 @@ impl MeshNetwork {
         let cancelled = self.cancel_packet_from(packet, from_seq, self.now + 1);
         self.stats.wasted_reservations += cancelled as u64;
         // Also drop this router's remaining same-cycle slots for >= seq.
-        let removed = self.routers[node].schedules[out_port.index()]
-            .cancel_packet(packet, from_seq, self.now);
+        let mut removed = std::mem::take(&mut self.scratch.removed);
+        self.routers[node].schedules[out_port.index()].cancel_packet_into(
+            packet,
+            from_seq,
+            self.now,
+            &mut removed,
+        );
         self.stats.wasted_reservations += removed.len() as u64;
-        self.release_cancelled(node, out_port, packet, &removed);
+        self.release_cancelled(node, out_port, &removed);
+        removed.clear();
+        self.scratch.removed = removed;
     }
 
     /// Cancels `packet`'s reservations for flits `>= from_seq` at cycles
@@ -1501,45 +1854,46 @@ impl MeshNetwork {
         from_seq: u8,
         from_cycle: Cycle,
     ) -> usize {
-        let Some(locs) = self.resv_index.get(&packet).cloned() else {
+        let Some((i, mut locs)) = self.resv_index.take(packet) else {
             return 0;
         };
-        let mut touched: Vec<(usize, Port)> = Vec::new();
-        for loc in &locs {
-            if loc.cycle >= from_cycle && !touched.contains(&(loc.node, loc.out_port)) {
-                touched.push((loc.node, loc.out_port));
-            }
-        }
+        let mut removed = std::mem::take(&mut self.scratch.removed);
         let mut total = 0;
-        for (node, out_port) in touched {
-            let removed = self.routers[node].schedules[out_port.index()]
-                .cancel_packet(packet, from_seq, from_cycle);
-            total += removed.len();
-            self.release_cancelled(node, out_port, packet, &removed);
-        }
-        if let Some(locs) = self.resv_index.get_mut(&packet) {
-            locs.retain(|l| l.cycle < from_cycle);
-            if locs.is_empty() {
-                self.resv_index.remove(&packet);
+        let mut last = None;
+        for loc in &locs {
+            // A port cancels everything of the packet at once, so visiting
+            // it again (consecutive slots share it) would remove nothing.
+            if loc.cycle < from_cycle || last == Some((loc.node, loc.out_port)) {
+                continue;
             }
+            last = Some((loc.node, loc.out_port));
+            self.routers[loc.node].schedules[loc.out_port.index()].cancel_packet_into(
+                packet,
+                from_seq,
+                from_cycle,
+                &mut removed,
+            );
+            total += removed.len();
+            self.release_cancelled(loc.node, loc.out_port, &removed);
+            removed.clear();
         }
+        self.scratch.removed = removed;
+        locs.retain(|l| l.cycle < from_cycle);
+        self.resv_index.restore(i, locs);
         total
     }
 
-    fn release_cancelled(
-        &mut self,
-        node: usize,
-        out_port: Port,
-        packet: PacketId,
-        removed: &[(Cycle, Reservation)],
-    ) {
+    /// Releases what the slots `removed` from `(node, out_port)` held:
+    /// each slot's reserved downstream credit, and the guard of every
+    /// packet left with no slot on the port.
+    fn release_cancelled(&mut self, node: usize, out_port: Port, removed: &[(Cycle, Reservation)]) {
         let p = out_port.index();
         for (_cycle, r) in removed {
             match r.landing {
                 Landing::Vc(lvc) if out_port != Port::Local => {
                     self.routers[node]
                         .out_vc_mut(p, lvc)
-                        .release_reservation(packet, 1);
+                        .release_reservation(r.packet, 1);
                 }
                 Landing::Latch => {
                     // Latch claims are deliberately NOT released here:
@@ -1551,9 +1905,12 @@ impl MeshNetwork {
                 _ => {}
             }
         }
-        if !removed.is_empty() && !self.routers[node].schedules[p].has_packet(packet) {
-            for vc in 0..self.cfg.vcs_per_port {
-                self.routers[node].guard_mut(p, vc).clear(packet);
+        for (k, (_, r)) in removed.iter().enumerate() {
+            let first_of_packet = removed[..k].iter().all(|(_, q)| q.packet != r.packet);
+            if first_of_packet && !self.routers[node].schedules[p].has_packet(r.packet) {
+                for vc in 0..self.cfg.vcs_per_port {
+                    self.routers[node].guard_mut(p, vc).clear(r.packet);
+                }
             }
         }
     }
@@ -1848,49 +2205,65 @@ impl MeshNetwork {
     /// Expires past reservations (waste) and stale latch claims.
     // hot
     fn expire_reservations(&mut self) {
-        for node in 0..self.cfg.nodes() {
-            // Expiry only has work where schedules or latch claims exist;
-            // the lazily-cleared flag (set on every install) turns the
-            // common reservation-free router into a single byte test.
-            if !self.resv_nodes[node] {
-                continue;
-            }
-            let router = &self.routers[node];
-            let quiet = router.schedules.iter().all(OutputSchedule::is_empty)
-                && router.inputs.iter().all(|iu| !iu.has_latch_claims());
-            if quiet {
-                self.resv_nodes[node] = false;
-                continue;
-            }
-            for out_port in Port::ALL {
-                let expired = self.routers[node].schedules[out_port.index()].expire(self.now);
-                if expired.is_empty() {
-                    continue;
-                }
-                self.stats.wasted_reservations += expired.len() as u64;
-                #[cfg(feature = "obs")]
-                for (_, r) in &expired {
-                    self.emit(|| Event::ReservationWasted {
-                        packet: r.packet.0,
-                        node: node as u64,
-                    });
-                }
-                let by_packet: Vec<PacketId> = expired.iter().map(|(_, r)| r.packet).collect();
-                self.release_cancelled(node, out_port, by_packet[0], &expired);
-                // release_cancelled handles credits/latches per entry but
-                // guards per packet; cover remaining packets.
-                for pk in by_packet {
-                    if !self.routers[node].schedules[out_port.index()].has_packet(pk) {
-                        for vc in 0..self.cfg.vcs_per_port {
-                            self.routers[node].guard_mut(out_port.index(), vc).clear(pk);
-                        }
+        // Everything before `now` is past: drain the calendar through the
+        // previous cycle (and any cycle a cancelled step skipped). Most
+        // drained slots were executed; only ports still holding a past
+        // slot are kept, then serviced in `(node, port)` order, the order
+        // of the old full scan, which the observability events follow.
+        // Latch claims expire in place (no events, no shared state).
+        let mut due = std::mem::take(&mut self.scratch.resv_due);
+        let mut wasted = std::mem::take(&mut self.scratch.resv_wasted);
+        let mut refiled = std::mem::take(&mut self.scratch.resv_refiled);
+        self.resv_cal.drain_through(self.now - 1, &mut due);
+        for &(_, ResvEntry { key, .. }) in &due {
+            let node = key.node as usize;
+            match key.kind {
+                ResvKind::Slot => {
+                    let sched = &self.routers[node].schedules[key.port as usize];
+                    if sched.first_cycle().is_some_and(|c| c < self.now) {
+                        wasted.push(key);
                     }
                 }
-            }
-            for in_port in Port::ALL {
-                self.routers[node].inputs[in_port.index()].latch_expire(self.now);
+                // A port filed twice expires and refiles once.
+                ResvKind::Latch if !refiled.contains(&key) => {
+                    refiled.push(key);
+                    let iu = &mut self.routers[node].inputs[key.port as usize];
+                    iu.latch_expire(self.now);
+                    // Claims left are all due at or after `now`: refile
+                    // the port under the earliest.
+                    if let Some(next) = iu.first_latch_claim() {
+                        self.resv_cal.insert(next, ResvEntry::service(key));
+                    }
+                }
+                ResvKind::Latch => {}
             }
         }
+        wasted.sort_unstable();
+        wasted.dedup();
+        #[cfg(debug_assertions)]
+        self.assert_expiry_due(&wasted);
+        let mut expired = std::mem::take(&mut self.scratch.removed);
+        for &key in &wasted {
+            let node = key.node as usize;
+            self.routers[node].schedules[key.port as usize].expire_into(self.now, &mut expired);
+            self.stats.wasted_reservations += expired.len() as u64;
+            #[cfg(feature = "obs")]
+            for (_, r) in &expired {
+                self.emit(|| Event::ReservationWasted {
+                    packet: r.packet.0,
+                    node: node as u64,
+                });
+            }
+            self.release_cancelled(node, key.port(), &expired);
+            expired.clear();
+        }
+        self.scratch.removed = expired;
+        due.clear();
+        wasted.clear();
+        refiled.clear();
+        self.scratch.resv_due = due;
+        self.scratch.resv_wasted = wasted;
+        self.scratch.resv_refiled = refiled;
     }
 
     // ------------------------------------------------------------------
@@ -2445,6 +2818,25 @@ impl MeshNetwork {
         }
     }
 
+    /// [`MeshNetwork::compute_route`] into `route`, reusing its storage
+    /// on the intact topology; `false` (with `route` unspecified) when
+    /// `dest` is unreachable.
+    pub fn compute_route_into(&self, src: NodeId, dest: NodeId, route: &mut Route) -> bool {
+        match &self.faults {
+            Some(f) if f.degraded() => match self.compute_route(src, dest) {
+                Some(r) => {
+                    *route = r;
+                    true
+                }
+                None => false,
+            },
+            _ => {
+                route.compute_into(&self.cfg, src, dest);
+                true
+            }
+        }
+    }
+
     /// Takes a full structural snapshot for the invariant watchdog:
     /// counts every flit the fabric should hold against the flits it
     /// actually holds, and closes the credit-conservation sum on every
@@ -2572,12 +2964,6 @@ impl MeshNetwork {
                 self.buffered_nodes[n] || !r.has_buffered_input(),
                 "buffered_nodes[{n}] cleared while input VCs hold flits"
             );
-            let resv_quiet = r.schedules.iter().all(OutputSchedule::is_empty)
-                && r.inputs.iter().all(|iu| !iu.has_latch_claims());
-            debug_assert!(
-                self.resv_nodes[n] || resv_quiet,
-                "resv_nodes[{n}] cleared while schedules or latch claims exist"
-            );
             debug_assert!(
                 self.source_nodes[n]
                     || self.sources[n]
@@ -2586,6 +2972,79 @@ impl MeshNetwork {
                         .all(std::collections::VecDeque::is_empty),
                 "source_nodes[{n}] cleared while NI queues hold flits"
             );
+        }
+    }
+
+    /// Debug-build cross-check of the reservation calendar against the
+    /// full scan it replaced: every port whose slot at `now` is a chain
+    /// head appears in `heads` (sorted), and every other candidate is
+    /// stale (does not match its port's slot).
+    #[cfg(debug_assertions)]
+    fn assert_heads_complete(&self, heads: &[u128]) {
+        let live = heads
+            .iter()
+            .filter(|&&h| {
+                let (seq, packet, n, port) = unpack_chain_head(h);
+                self.routers[n].schedules[port.index()]
+                    .get(self.now)
+                    .is_some_and(|r| is_head_of(r, seq, packet))
+            })
+            .count();
+        let mut found = 0;
+        for (n, router) in self.routers.iter().enumerate() {
+            for out_port in Port::ALL {
+                let Some(r) = router.schedules[out_port.index()].get(self.now) else {
+                    continue;
+                };
+                if matches!(r.source, FlitSource::Bypass { .. }) {
+                    continue;
+                }
+                found += 1;
+                debug_assert!(
+                    heads
+                        .binary_search(&chain_head(
+                            r.seq,
+                            r.packet,
+                            n as u16,
+                            out_port.index() as u8
+                        ))
+                        .is_ok(),
+                    "calendar missed the chain head at n{n} {out_port} cycle {}",
+                    self.now
+                );
+            }
+        }
+        debug_assert_eq!(found, live, "calendar produced a chain head twice");
+    }
+
+    /// Debug-build cross-check of the expiry calendar against the full
+    /// scan it replaced: every output port holding a slot before `now` is
+    /// in `wasted` (sorted), and no input latch still holds a claim
+    /// before `now`.
+    #[cfg(debug_assertions)]
+    fn assert_expiry_due(&self, wasted: &[ResvKey]) {
+        for (n, router) in self.routers.iter().enumerate() {
+            for port in Port::ALL {
+                if router.schedules[port.index()]
+                    .first_cycle()
+                    .is_some_and(|c| c < self.now)
+                {
+                    debug_assert!(
+                        wasted
+                            .binary_search(&ResvKey::new(n, ResvKind::Slot, port))
+                            .is_ok(),
+                        "calendar missed the expiry of n{n} {port} at cycle {}",
+                        self.now
+                    );
+                }
+                debug_assert!(
+                    router.inputs[port.index()]
+                        .first_latch_claim()
+                        .is_none_or(|c| c >= self.now),
+                    "calendar missed the latch expiry of n{n} {port} at cycle {}",
+                    self.now
+                );
+            }
         }
     }
 
@@ -2698,11 +3157,8 @@ impl Network for MeshNetwork {
         self.apply_credit_returns();
         self.deliver_arrivals();
         self.inject_from_sources();
-        let mut read_this_cycle = std::mem::take(&mut self.scratch.read_this_cycle);
-        self.execute_grants(&mut read_this_cycle);
-        self.execute_reservations(&read_this_cycle);
-        read_this_cycle.clear();
-        self.scratch.read_this_cycle = read_this_cycle;
+        self.execute_grants();
+        self.execute_reservations();
         self.allocate();
         self.expire_reservations();
         #[cfg(debug_assertions)]
@@ -2724,7 +3180,7 @@ impl Network for MeshNetwork {
         for delivered in &out[start..] {
             // Purge any leftover PRA state for completed packets.
             let id = delivered.packet.id;
-            if self.resv_index.contains_key(&id) {
+            if self.resv_index.contains(id) {
                 self.cancel_packet_from(id, 0, 0);
             }
         }
@@ -2851,8 +3307,8 @@ impl StateDigest for MeshNetwork {
             h.write_usize(c.out_port.index());
             h.write_usize(c.vc);
         }
-        h.write_usize(self.resv_index.len());
-        for (packet, locs) in &self.resv_index {
+        h.write_usize(self.resv_index.entries.len());
+        for (packet, locs) in &self.resv_index.entries {
             h.write_u64(packet.0);
             h.write_usize(locs.len());
             for loc in locs {
@@ -3169,6 +3625,90 @@ mod tests {
         );
     }
 
+    /// A bypass-source slot on node 1's east port: never a chain head,
+    /// so only expiry removes it. Reserves one downstream credit.
+    fn bypass_slot(packet: u64, class: MessageClass, start: Cycle) -> HopPlan {
+        HopPlan {
+            node: NodeId::new(1),
+            out_port: Port::Dir(Direction::East),
+            start,
+            packet: PacketId(packet),
+            len: 1,
+            class,
+            source: FlitSource::Bypass {
+                from: Direction::West,
+            },
+            landing: Landing::Vc(class.vc()),
+            reserve: 1,
+        }
+    }
+
+    #[test]
+    fn expiring_two_packets_on_one_port_releases_both() {
+        let mut n = net();
+        let east = Port::Dir(Direction::East);
+        n.install_hop(&bypass_slot(7, MessageClass::Request, 5))
+            .unwrap();
+        n.install_hop(&bypass_slot(8, MessageClass::Response, 6))
+            .unwrap();
+        for class in [MessageClass::Request, MessageClass::Response] {
+            assert!(n
+                .out_vc(NodeId::new(1), east, class.vc())
+                .reserved_for()
+                .is_some());
+        }
+        // The expiries of cycles 5 and 6 were skipped (as by cancelled
+        // steps): one call expires both packets' slots on the port.
+        n.now = 7;
+        n.expire_reservations();
+        assert_eq!(n.stats().wasted_reservations, 2);
+        assert!(n.schedule(NodeId::new(1), east).is_empty());
+        for class in [MessageClass::Request, MessageClass::Response] {
+            let out_vc = n.out_vc(NodeId::new(1), east, class.vc());
+            assert_eq!(out_vc.reserved_for(), None, "{class:?} credits leaked");
+            assert_eq!(out_vc.reserved(), 0);
+            assert_eq!(n.guard(NodeId::new(1), east, class).holder(), None);
+        }
+    }
+
+    #[test]
+    fn install_past_the_calendar_horizon_comes_due_at_its_own_cycle() {
+        let mut n = net();
+        let east = Port::Dir(Direction::East);
+        let horizon = n.resv_cal.horizon();
+        // Two wraps out: the slot shares its calendar bucket with cycles
+        // `far - horizon` and `far - 2 * horizon`.
+        let far = n.upcoming_cycle() + 2 * horizon + 3;
+        let plan = HopPlan {
+            node: NodeId::new(1),
+            out_port: east,
+            start: far,
+            packet: PacketId(9),
+            len: 1,
+            class: MessageClass::Request,
+            source: FlitSource::Vc {
+                port: Port::Dir(Direction::West),
+                vc: 0,
+            },
+            landing: Landing::Vc(0),
+            reserve: 1,
+        };
+        n.install_hop(&plan).unwrap();
+        while n.now() < far - 1 {
+            n.step();
+        }
+        assert!(
+            n.schedule(NodeId::new(1), east).is_reserved(far),
+            "no aliased cycle executed or expired the slot"
+        );
+        assert_eq!(n.stats().wasted_reservations, 0);
+        // Its own cycle: the head finds no flit and wastes.
+        n.step();
+        assert_eq!(n.stats().wasted_reservations, 1);
+        assert!(n.schedule(NodeId::new(1), east).is_empty());
+        assert_eq!(n.out_vc(NodeId::new(1), east, 0).reserved(), 0);
+    }
+
     #[test]
     fn forced_single_hop_move_executes() {
         let mut n = net();
@@ -3263,7 +3803,18 @@ mod tests {
         let mut predicted: Option<(Cycle, Cycle)> = None; // (observed_at, finish)
         for _ in 0..60 {
             n.step();
-            for (node, in_port, _, flit, out_port, blocker, finish) in n.stalled_heads() {
+            let mut heads = Vec::new();
+            n.stalled_heads_into(&mut heads);
+            for StalledHead {
+                node,
+                in_port,
+                flit,
+                out_port,
+                blocker,
+                blocker_finish: finish,
+                ..
+            } in heads
+            {
                 if flit.packet == PacketId(2) && blocker == PacketId(1) {
                     assert_eq!(out_port, Port::Dir(Direction::East));
                     assert_eq!(node, NodeId::new(1));

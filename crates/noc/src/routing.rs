@@ -32,9 +32,26 @@ pub struct Route {
 impl Route {
     /// Computes the XY route from `src` to `dest`.
     pub fn compute(cfg: &NocConfig, src: NodeId, dest: NodeId) -> Route {
+        let hops = cfg.coord(src).manhattan(cfg.coord(dest)) as usize;
+        let mut route = Route {
+            src,
+            dest,
+            dirs: Vec::with_capacity(hops),
+        };
+        route.compute_into(cfg, src, dest);
+        route
+    }
+
+    /// Recomputes `self` as the XY route from `src` to `dest`, reusing
+    /// its storage (a recycled route allocates nothing once its buffer
+    /// has grown to the mesh diameter).
+    pub fn compute_into(&mut self, cfg: &NocConfig, src: NodeId, dest: NodeId) {
         let s = cfg.coord(src);
         let d = cfg.coord(dest);
-        let mut dirs = Vec::with_capacity(s.manhattan(d) as usize);
+        self.src = src;
+        self.dest = dest;
+        let dirs = &mut self.dirs;
+        dirs.clear();
         let xdir = if d.x > s.x {
             Some(Direction::East)
         } else if d.x < s.x {
@@ -59,7 +76,6 @@ impl Route {
                 dirs.push(dir);
             }
         }
-        Route { src, dest, dirs }
     }
 
     /// Builds a route from an explicit hop sequence (used by
