@@ -14,7 +14,8 @@ use noc::network::Network;
 use noc::traffic::{Pattern, TrafficGen};
 use noc::watchdog::Watchdog;
 
-use bench::{build_network, run_grid_budgeted, Organization};
+use bench::{build_network, Organization};
+use runner::{run_tasks, threads_from_env, Outcome};
 
 const WARMUP: u64 = 1_000;
 const MEASURE: u64 = 5_000;
@@ -39,10 +40,9 @@ fn config_with(ppb: u32) -> NocConfig {
     b.build().expect("paper config with faults is valid")
 }
 
-fn run_point(org: Organization, ppb: u32, load: f64, token: noc::cancel::CancelToken) -> Point {
+fn run_point(org: Organization, ppb: u32, load: f64) -> Point {
     let cfg = config_with(ppb);
     let mut net = build_network(org, cfg.clone());
-    net.install_cancel(token);
     let mut gen = TrafficGen::new(cfg, Pattern::UniformRandom, load, 42);
     let mut wd = Watchdog::default();
 
@@ -114,10 +114,20 @@ fn main() {
             }
         }
     }
-    let points = run_grid_budgeted(grid.len(), |i, token| {
+    let task = |i: usize| {
         let (org, ppb, _, load) = grid[i];
-        run_point(org, ppb, load, token)
-    });
+        run_point(org, ppb, load)
+    };
+    let mut points = Vec::with_capacity(grid.len());
+    for outcome in run_tasks(grid.len(), threads_from_env(), task, |_, _| {}) {
+        match outcome {
+            Outcome::Done(p) => points.push(p),
+            Outcome::Panicked { task, message } => {
+                eprintln!("fault_sweep: sweep point {task} panicked: {message}");
+                std::process::exit(1);
+            }
+        }
+    }
 
     println!("## Latency/throughput degradation under transient link faults\n");
     println!(

@@ -20,8 +20,9 @@
 //! [`FrfcNetwork::MAX_SHIFT`] cycles, with data waiting in buffers) —
 //! FRFC's flit-granular flexibility.
 //!
-//! **Measured verdict** (see `bench --bin frfc_compare`): FRFC excels for
-//! single-flit requests (~40% latency cut at server loads) but its
+//! **Measured verdict** (see the FRFC views of `bench --bin figures`):
+//! FRFC excels for single-flit requests (~40% latency cut at server
+//! loads) but its
 //! whole-route reservations serialize competing multi-flit responses —
 //! five-slot exclusive port windows on every hop of every packet — so the
 //! system-level gain nets out near zero, while PRA's bounded multi-hop

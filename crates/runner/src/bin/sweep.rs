@@ -537,6 +537,7 @@ fn check_bounds(points: &[runner::PointSpec], records: &[PointRecord], quiet: bo
     let mut skipped = 0usize;
     for (p, r) in points.iter().zip(records) {
         let eligible = r.status == "ok"
+            && p.workload.is_none()
             && !p.fault.is_active()
             && matches!(p.org, Organization::Mesh | Organization::MeshPra)
             && p.injection.burst_bound().is_some();

@@ -4,7 +4,11 @@
 //!
 //! * [`spec::SweepSpec`] — a declarative experiment grid (organisation ×
 //!   pattern × rate × radix × VC depth × hops-per-cycle × fault plan ×
-//!   sample), built programmatically or loaded from a small JSON file.
+//!   sample, or organisation × workload × system variant × sample for
+//!   full-system points), built programmatically or loaded from a small
+//!   JSON file.
+//! * [`system`] — full-system points: a CloudSuite workload on the
+//!   `sysmodel` server, reporting IPC and the figures' counters.
 //! * [`pool::run_tasks`] — a work pool over plain `std` threads and
 //!   channels (no external dependencies): workers claim task indices
 //!   from an atomic counter, panics are isolated per task, and results
@@ -20,7 +24,8 @@
 //! The load-bearing invariant, enforced by `tests/determinism.rs` and
 //! `tests/resume.rs`: a sweep's result rows are **byte-identical at any
 //! thread count, and across kill/resume**. Seeds derive from grid
-//! position and retry attempt ([`seed::derive_seed`]), simulations never
+//! position (a full-system point's from its sample number) and retry
+//! attempt ([`seed::derive_seed`]), simulations never
 //! share state, and artifacts contain no wall-clock values. Per-point
 //! cycle/wall budgets ([`point::WallGuard`]) turn wedged points into
 //! `timeout(...)` rows instead of hung sweeps, and sampled state digests
@@ -40,6 +45,7 @@ pub mod report;
 pub mod seed;
 pub mod spec;
 pub mod supervisor;
+pub mod system;
 
 pub use cache::{CacheLookup, ResultCache};
 pub use journal::{
@@ -74,6 +80,7 @@ pub use supervisor::{
     run_supervised, run_worker, SupervisorConfig, SupervisorError, SupervisorReport, WorkerConfig,
     WorkerOutcome,
 };
+pub use system::{SystemRecord, SystemSpec, WorkloadPoint, SYSTEM_CSV_HEADER};
 
 /// The worker count to use when the caller does not specify one: the
 /// `NOC_THREADS` environment variable if set and positive, else the

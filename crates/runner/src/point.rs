@@ -29,6 +29,7 @@ use crate::org::{build_network, with_network, NetVisitor, Organization};
 use crate::pool::{panic_message, run_tasks, run_tasks_with, Outcome};
 use crate::seed::derive_seed;
 use crate::spec::{injection_key, pattern_key, FaultSpec, ReliabilitySpec};
+use crate::system::{run_system_attempt, SystemRecord, WorkloadPoint};
 
 /// Cycle budget for draining in-flight packets after the measured window.
 const DRAIN_BUDGET: u64 = 100_000;
@@ -86,6 +87,9 @@ pub struct PointSpec {
     /// Allow the network to fast-path quiescent cycles (byte-identical
     /// either way; a runtime knob, so not part of the spec hash).
     pub skip_ahead: bool,
+    /// The workload and system variant of a full-system point (`None`
+    /// for a synthetic-traffic point, which is every field above).
+    pub workload: Option<WorkloadPoint>,
 }
 
 impl PointSpec {
@@ -222,16 +226,25 @@ pub struct PointRecord {
     pub escalations: u64,
     /// Chained hash of the digest trail (`"-"` when digests are off).
     pub digest: String,
+    /// The full-system columns of a workload point (`None` for a
+    /// synthetic point, whose row omits them). Boxed so a synthetic
+    /// record stays as small as before the columns existed.
+    pub system: Option<Box<SystemRecord>>,
 }
 
 impl PointRecord {
-    fn zeroed(p: &PointSpec) -> PointRecord {
+    pub(crate) fn zeroed(p: &PointSpec) -> PointRecord {
+        // A workload point has no traffic generator to name.
+        let (pattern, injection, rate) = match p.workload {
+            None => (pattern_key(p.pattern), injection_key(p.injection), p.rate),
+            Some(_) => ("-".to_string(), "-".to_string(), 0.0),
+        };
         PointRecord {
             index: p.index,
             org: p.org.key().to_string(),
-            pattern: pattern_key(p.pattern),
-            injection: injection_key(p.injection),
-            rate: p.rate,
+            pattern,
+            injection,
+            rate,
             radix: p.radix,
             vc_depth: p.vc_depth,
             hpc: p.hpc,
@@ -256,6 +269,10 @@ impl PointRecord {
             duplicates_suppressed: 0,
             escalations: 0,
             digest: "-".to_string(),
+            system: p
+                .workload
+                .as_ref()
+                .map(|w| Box::new(SystemRecord::zeroed(w))),
         }
     }
 }
@@ -743,7 +760,11 @@ fn run_point_full_inner(
         } else {
             derive_seed(p.base_seed, p.index as u64, attempt)
         };
-        let mut outcome = match catch_unwind(AssertUnwindSafe(|| attempt_fn(p, attempt, cancel))) {
+        let run = || match &p.workload {
+            Some(w) => run_system_attempt(p, w, seed, cancel),
+            None => attempt_fn(p, attempt, cancel),
+        };
+        let mut outcome = match catch_unwind(AssertUnwindSafe(run)) {
             Ok(outcome) => outcome,
             // Name the crash site: "which point, which seed, which
             // attempt" is the difference between a reproducible bug

@@ -18,6 +18,7 @@
 use std::collections::BTreeMap;
 
 use crate::point::{ClassLatency, DigestSample, PointOutcome, PointRecord};
+use crate::system::SystemRecord;
 
 /// A journal byte stream that cannot be decoded.
 #[must_use]
@@ -181,13 +182,23 @@ pub fn parse_start_line(line: &str) -> Option<usize> {
 /// serialisation under their own integrity digest.
 pub fn point_line(outcome: &PointOutcome) -> String {
     let r = &outcome.record;
+    let system = r.system.as_ref().map_or_else(String::new, |sys| {
+        let counters: Vec<String> = sys.counters.iter().map(u64::to_string).collect();
+        format!(
+            "\t{}\t{}\t{:016x}\t{}",
+            escape(&sys.workload),
+            escape(&sys.system),
+            sys.ipc.to_bits(),
+            counters.join("\t")
+        )
+    });
     let classes: Vec<String> = r
         .classes
         .iter()
         .map(|c| format!("{}\t{}\t{}\t{}", c.p50, c.p95, c.p99, c.max))
         .collect();
     format!(
-        "point\t{}\t{}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\t{:016x}\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+        "point\t{}\t{}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\t{:016x}\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}\t{}{}",
         r.index,
         escape(&r.org),
         escape(&r.pattern),
@@ -218,13 +229,16 @@ pub fn point_line(outcome: &PointOutcome) -> String {
         r.escalations,
         escape(&r.digest),
         trail_field(&outcome.trail),
+        system,
     )
 }
 
 /// Parses one completed-point journal line (without its newline).
 pub fn parse_point_line(line: &str) -> Option<PointOutcome> {
     let fields: Vec<&str> = line.split('\t').collect();
-    if fields.len() != 42 || fields[0] != "point" {
+    // A workload point's line carries 18 full-system fields after the
+    // synthetic point's 42.
+    if !matches!(fields.len(), 42 | 60) || fields[0] != "point" {
         return None;
     }
     let f64_at = |i: usize| -> Option<f64> {
@@ -268,6 +282,21 @@ pub fn parse_point_line(line: &str) -> Option<PointOutcome> {
         duplicates_suppressed: fields[38].parse().ok()?,
         escalations: fields[39].parse().ok()?,
         digest: unescape(fields[40]),
+        system: match fields.get(42..) {
+            Some([workload, system, _, cells @ ..]) => {
+                let mut counters = [0; 15];
+                for (c, cell) in counters.iter_mut().zip(cells) {
+                    *c = cell.parse().ok()?;
+                }
+                Some(Box::new(SystemRecord {
+                    workload: unescape(workload),
+                    system: unescape(system),
+                    ipc: f64_at(44)?,
+                    counters,
+                }))
+            }
+            _ => None,
+        },
     };
     let trail = parse_trail(fields[41])?;
     Some(PointOutcome { record, trail })

@@ -10,6 +10,7 @@
 use nistats::Json;
 
 use crate::point::PointRecord;
+use crate::system::SYSTEM_CSV_HEADER;
 
 /// The CSV header row (no trailing newline). The twelve `req_*`/`coh_*`/
 /// `rsp_*` columns are the per-class latency summaries QoS sweeps and
@@ -25,14 +26,15 @@ fn fmt_f64(v: f64) -> String {
     format!("{v:.6}")
 }
 
-/// Formats one record as a CSV row (no trailing newline).
+/// Formats one record as a CSV row (no trailing newline); a workload
+/// point's row continues with the [`SYSTEM_CSV_HEADER`] columns.
 pub fn csv_row(r: &PointRecord) -> String {
     let classes: Vec<String> = r
         .classes
         .iter()
         .map(|c| format!("{},{},{},{}", c.p50, c.p95, c.p99, c.max))
         .collect();
-    format!(
+    let mut row = format!(
         "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
         r.index,
         r.org,
@@ -63,7 +65,19 @@ pub fn csv_row(r: &PointRecord) -> String {
         r.duplicates_suppressed,
         r.escalations,
         r.digest,
-    )
+    );
+    if let Some(sys) = &r.system {
+        row.push_str(&format!(
+            ",{},{},{}",
+            sys.workload,
+            sys.system,
+            fmt_f64(sys.ipc)
+        ));
+        for c in sys.counters {
+            row.push_str(&format!(",{c}"));
+        }
+    }
+    row
 }
 
 /// Row counts by status family — the one-line health summary a sweep
@@ -100,10 +114,15 @@ pub fn status_counts(records: &[PointRecord]) -> StatusCounts {
 }
 
 /// Formats all records as a CSV document (header + one row per record,
-/// trailing newline).
+/// trailing newline). The header gains the [`SYSTEM_CSV_HEADER`]
+/// columns when the rows are workload points.
 pub fn to_csv(records: &[PointRecord]) -> String {
     let mut out = String::with_capacity((records.len() + 1) * 96);
     out.push_str(CSV_HEADER);
+    if records.first().is_some_and(|r| r.system.is_some()) {
+        out.push(',');
+        out.push_str(SYSTEM_CSV_HEADER);
+    }
     out.push('\n');
     for r in records {
         out.push_str(&csv_row(r));
@@ -118,7 +137,7 @@ pub fn to_json(sweep: &str, records: &[PointRecord]) -> Json {
     let points = records
         .iter()
         .map(|r| {
-            Json::object(vec![
+            let mut fields = vec![
                 ("index".to_string(), Json::UInt(r.index as u64)),
                 ("org".to_string(), Json::from(r.org.as_str())),
                 ("pattern".to_string(), Json::from(r.pattern.as_str())),
@@ -169,7 +188,11 @@ pub fn to_json(sweep: &str, records: &[PointRecord]) -> Json {
                 ),
                 ("escalations".to_string(), Json::UInt(r.escalations)),
                 ("digest".to_string(), Json::from(r.digest.as_str())),
-            ])
+            ];
+            if let Some(sys) = &r.system {
+                fields.push(("system".to_string(), sys.to_json()));
+            }
+            Json::object(fields)
         })
         .collect();
     Json::object(vec![

@@ -2,7 +2,9 @@
 //!
 //! A [`SweepSpec`] names a full experiment grid — organisation × traffic
 //! pattern × injection rate × mesh radix × VC depth × hops-per-cycle ×
-//! fault plan × sample — plus the measurement windows. Specs are built
+//! fault plan × sample — plus the measurement windows. A spec with a
+//! `workloads` axis is a full-system grid instead: organisation ×
+//! workload × system variant × sample (see [`crate::system`]). Specs are built
 //! programmatically (builder style) or loaded from a small JSON file
 //! (see `specs/smoke.json`); [`SweepSpec::points`] expands the grid into
 //! [`crate::point::PointSpec`]s in a fixed, documented order, assigning
@@ -16,6 +18,7 @@ use noc::types::NodeId;
 use crate::org::Organization;
 use crate::point::PointSpec;
 use crate::seed::derive_seed;
+use crate::system::{parse_system_list, SystemSpec, WorkloadPoint};
 
 /// A malformed sweep specification.
 #[must_use]
@@ -344,6 +347,13 @@ pub struct SweepSpec {
     /// Per-class token-bucket shaping at the injection point
     /// (`[request, coherence, response]`; `None` = class unshaped).
     pub token_buckets: [Option<TokenBucketCfg>; 3],
+    /// Full-system workloads to sweep. Empty (the default) makes a
+    /// synthetic-traffic grid whose indices, seeds, hash and rows are
+    /// those of a spec that predates the axis.
+    pub workloads: Vec<workloads::WorkloadKind>,
+    /// System variants of a workload grid (default: the paper's system
+    /// alone); unused by synthetic grids.
+    pub systems: Vec<SystemSpec>,
 }
 
 impl SweepSpec {
@@ -373,6 +383,8 @@ impl SweepSpec {
             digest_interval: 0,
             class_priority: None,
             token_buckets: [None, None, None],
+            workloads: Vec::new(),
+            systems: vec![SystemSpec::paper()],
         }
     }
 
@@ -531,6 +543,18 @@ impl SweepSpec {
             h.write_u64(r.backoff_base);
             h.write_u64(r.seed);
         }
+        // Only workload grids hash the full-system axes, so every
+        // synthetic spec keeps the hash it had before they existed.
+        if !self.workloads.is_empty() {
+            h.write_usize(self.workloads.len());
+            for w in &self.workloads {
+                h.write_bytes(w.key().as_bytes());
+            }
+            h.write_usize(self.systems.len());
+            for s in &self.systems {
+                s.digest(&mut h);
+            }
+        }
         // wall_budget_ms, max_retries and backoff_ms are deliberately
         // excluded: they change *how* points run, never *what* a
         // completed point's record means, so a resume may tighten or
@@ -540,6 +564,12 @@ impl SweepSpec {
 
     /// Number of points in the expanded grid.
     pub fn len(&self) -> usize {
+        if !self.workloads.is_empty() {
+            return self.orgs.len()
+                * self.workloads.len()
+                * self.systems.len()
+                * self.samples as usize;
+        }
         self.orgs.len()
             * self.patterns.len()
             * self.injections.len()
@@ -564,7 +594,18 @@ impl SweepSpec {
     /// therefore its derived seed. A spec with the default
     /// single-Bernoulli injection axis and the default single-disabled
     /// reliability axis expands to exactly the historical grid.
+    ///
+    /// A workload grid expands organisation × workload × system variant ×
+    /// sample; its synthetic axes keep their single defaults. Its seed
+    /// depends on the sample alone (`derive_seed(base_seed, sample, 0)`),
+    /// so every organisation, workload and variant of a sample runs the
+    /// same seed: a figure's ratios compare identical random streams, and
+    /// two specs with one `base_seed` and equal windows reproduce each
+    /// other's shared cells.
     pub fn points(&self) -> Vec<PointSpec> {
+        if !self.workloads.is_empty() {
+            return self.workload_points();
+        }
         let mut out = Vec::with_capacity(self.len());
         for &org in &self.orgs {
             for &pattern in &self.patterns {
@@ -606,6 +647,7 @@ impl SweepSpec {
                                                     class_priority: self.class_priority,
                                                     token_buckets: self.token_buckets,
                                                     skip_ahead: true,
+                                                    workload: None,
                                                 });
                                             }
                                         }
@@ -613,6 +655,37 @@ impl SweepSpec {
                                 }
                             }
                         }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn workload_points(&self) -> Vec<PointSpec> {
+        // Every synthetic field comes from the synthetic grid's first cell.
+        let synthetic = SweepSpec {
+            workloads: Vec::new(),
+            ..self.clone()
+        };
+        let Some(template) = synthetic.points().into_iter().next() else {
+            return Vec::new();
+        };
+        let mut out = Vec::with_capacity(self.len());
+        for &org in &self.orgs {
+            for &workload in &self.workloads {
+                for system in &self.systems {
+                    for sample in 0..self.samples {
+                        let index = out.len();
+                        let system = system.clone();
+                        out.push(PointSpec {
+                            index,
+                            org,
+                            sample,
+                            seed: derive_seed(self.base_seed, u64::from(sample), 0),
+                            workload: Some(WorkloadPoint { workload, system }),
+                            ..template.clone()
+                        });
                     }
                 }
             }
@@ -714,6 +787,28 @@ impl SweepSpec {
         if let Some(v) = json.get("digest_interval") {
             spec.digest_interval = v.as_u64().map_or_else(|| err("digest_interval"), Ok)?;
         }
+        if let Some(v) = json.get("workloads") {
+            spec.workloads = parse_keyed_list(
+                v,
+                "workloads",
+                workloads::WORKLOAD_KEYS,
+                workloads::WorkloadKind::from_key,
+            )?;
+            if spec.workloads.is_empty() {
+                return err("expanded grid is empty (an axis has no values)");
+            }
+            if let Some(key) = SYNTHETIC_ONLY.split(' ').find(|k| json.get(k).is_some()) {
+                return err(format!(
+                    "field \"{key}\" applies only to synthetic grids, not to a \"workloads\" grid"
+                ));
+            }
+        }
+        if let Some(v) = json.get("system") {
+            if spec.workloads.is_empty() {
+                return err("field \"system\" needs a \"workloads\" axis");
+            }
+            spec.systems = parse_system_list(v)?;
+        }
         if spec.is_empty() {
             return err("expanded grid is empty (an axis has no values)");
         }
@@ -732,6 +827,11 @@ impl SweepSpec {
         }
     }
 }
+
+/// Spec fields a full-system point has no use for: the traffic
+/// generator's axes, per-cycle budgets and digests.
+const SYNTHETIC_ONLY: &str = "response_fraction patterns injections rates radices vc_depths hpcs \
+     faults reliability class_priority token_buckets cycle_budget digest_interval";
 
 fn parse_list<T>(
     v: &Json,
@@ -1181,6 +1281,93 @@ mod tests {
                 .to_string();
         assert!(no_label.contains("label"), "{no_label}");
         assert!(no_label.contains("overlay on"), "{no_label}");
+    }
+
+    #[test]
+    fn committed_synthetic_specs_keep_their_hash_seeds_and_columns() {
+        // Pinned at the commit before the full-system axes existed: an
+        // absent `workloads` axis must leave every input of the hash,
+        // the point seeds and the record layout untouched.
+        // name, spec hash, point count, first seed, last seed
+        let pinned = "smoke 80fdb8eff46ed83f 12 7c247adefcc8b7d8 f11842242570544c
+                      qos_smoke d3ddb2f529f6f6c7 4 4e33eab93279ff1a 3e3a3f267e98251e
+                      fault_storm b709b6396a73a0bc 8 bc0b9ee132c42184 1221ec368d9f1a7f
+                      load16 c2e840bb75f44660 16 4e33eab93279ff1a 8c116bda4310df48";
+        for line in pinned.lines().map(str::trim) {
+            let name = line.split(' ').next().unwrap_or_default();
+            let path = format!("{}/../../specs/{name}.json", env!("CARGO_MANIFEST_DIR"));
+            let spec = SweepSpec::load(&path).expect("committed spec parses");
+            let pts = spec.points();
+            let (first, last) = (pts[0].seed, pts[pts.len() - 1].seed);
+            let got = format!(
+                "{name} {:016x} {} {first:016x} {last:016x}",
+                spec.spec_hash(),
+                pts.len()
+            );
+            assert_eq!(got, line, "hash, size or seeds moved");
+            let rec = pts[0].failed_record("x");
+            assert_eq!(
+                rec.system, None,
+                "{name}: synthetic rows carry no system columns"
+            );
+            let csv = crate::report::to_csv(std::slice::from_ref(&rec));
+            assert!(!csv.contains("workload"), "{name}: {csv}");
+            let line = crate::protocol::point_line(&crate::point::PointOutcome {
+                record: rec,
+                trail: Vec::new(),
+            });
+            assert_eq!(
+                line.split('\t').count(),
+                42,
+                "{name}: journal line layout moved"
+            );
+        }
+    }
+
+    #[test]
+    fn workload_grids_parse_validate_and_expand() {
+        let spec = SweepSpec::from_json_str(
+            r#"{"name": "w", "orgs": ["mesh", "mesh_pra"],
+                "workloads": ["media_streaming", "web_search"],
+                "system": [{"label": "paper"}, {"label": "lag2", "max_lag": 2},
+                           {"label": "half", "miss_scale": 0.5, "lsd": false}],
+                "samples": 2}"#,
+        )
+        .expect("valid workload spec");
+        assert_eq!(spec.len(), 2 * 2 * 3 * 2);
+        let pts = spec.points();
+        assert_eq!(pts.len(), spec.len());
+        // Organisation outermost, then workload, system, sample.
+        let w = |i: usize| pts[i].workload.as_ref().expect("workload point");
+        assert_eq!((w(0).system.label.as_str(), pts[0].sample), ("paper", 0));
+        assert_eq!((w(1).system.label.as_str(), pts[1].sample), ("paper", 1));
+        assert_eq!(w(2).system.max_lag, 2);
+        assert!(!w(4).system.lsd && w(4).system.miss_scale == 0.5);
+        assert_eq!(w(6).workload, workloads::WorkloadKind::WebSearch);
+        assert_eq!(pts[12].org, Organization::MeshPra);
+        for p in &pts {
+            assert_eq!(p.seed, derive_seed(spec.base_seed, u64::from(p.sample), 0));
+        }
+        let plain = SweepSpec::from_json_str(r#"{"name": "w", "orgs": ["mesh", "mesh_pra"]}"#)
+            .expect("valid");
+        assert_ne!(spec.spec_hash(), plain.spec_hash());
+
+        // Each malformed spec, after a word its error must name.
+        let bad = r#"rates|{"name":"x","workloads":["mapreduce"],"rates":[0.1]}
+            max_lag|{"name":"x","workloads":["mapreduce"],"system":[{"label":"a","max_lag":0}]}
+            lsd|{"name":"x","workloads":["mapreduce"],"system":[{"label":"a","lsd":1}]}
+            miss_scale|{"name":"x","workloads":["sat_solver"],"system":[{"label":"a","miss_scale":0}]}
+            label|{"name":"x","workloads":["mapreduce"],"system":[{"label":""}]}
+            label|{"name":"x","workloads":["mapreduce"],"system":[{"label":"a,b"}]}
+            label|{"name":"x","workloads":["mapreduce"],"system":[{"label":"a\nb"}]}
+            label|{"name":"x","workloads":["mapreduce"],"system":[{"label":"a"},{"label":"a"}]}
+            needs a "workloads"|{"name":"x","system":[{"label":"a"}]}
+            web_search|{"name":"x","workloads":["netflix"]}
+            empty|{"name":"x","workloads":[]}"#;
+        for (needle, text) in bad.lines().filter_map(|l| l.trim().split_once('|')) {
+            let e = SweepSpec::from_json_str(text).expect_err(text).to_string();
+            assert!(e.contains(needle), "{text}: {e}");
+        }
     }
 
     #[test]

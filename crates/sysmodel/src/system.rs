@@ -255,9 +255,13 @@ impl<N: Network> System<N> {
 
     /// Runs a warm-up window, then a measurement window; returns the
     /// system performance (committed instructions per cycle, summed over
-    /// all cores) of the measurement window.
+    /// all cores) of the measurement window. The network's statistics
+    /// are reset at the boundary, so afterwards they too cover only the
+    /// measurement window (the reset touches counters, never simulator
+    /// state).
     pub fn measure(&mut self, warmup: u64, measure: u64) -> f64 {
         self.run(warmup);
+        self.network.reset_stats();
         let before = self.committed_instructions();
         self.run(measure);
         (self.committed_instructions() - before) as f64 / measure as f64
@@ -586,6 +590,60 @@ mod tests {
             "healthy mesh must raise no violations: {:?}",
             wd.violations()
         );
+    }
+
+    #[test]
+    fn measure_counts_only_the_window_and_leaves_ipc_unchanged() {
+        let p = params();
+        let (warmup, window_cycles) = (2_000, 3_000);
+        let build = || {
+            let net = pra::network::PraNetwork::new(p.noc.clone());
+            System::new(p.clone(), net, WorkloadKind::MediaStreaming, 4)
+        };
+        let mut reset = build();
+        let ipc = reset.measure(warmup, window_cycles);
+        // The same run without the reset: lifetime counters, with a
+        // snapshot taken at the warm-up boundary.
+        let mut lifetime = build();
+        lifetime.run(warmup);
+        let (net_w, pra_w) = (
+            lifetime.network().stats().clone(),
+            lifetime.network().pra_stats().clone(),
+        );
+        let before = lifetime.committed_instructions();
+        lifetime.run(window_cycles);
+        let ipc_lifetime =
+            (lifetime.committed_instructions() - before) as f64 / window_cycles as f64;
+        assert_eq!(
+            ipc.to_bits(),
+            ipc_lifetime.to_bits(),
+            "the reset must not perturb IPC"
+        );
+
+        let counters = |s: &noc::stats::NetStats, p: &pra::PraStats| {
+            let mut v = vec![s.cycles, s.delivered(), s.injected(), s.total_latency];
+            v.extend([s.link_traversals, s.local_grants, s.reserved_moves]);
+            v.extend([s.wasted_reservations, s.blocked_by_reservation_cycles]);
+            v.extend([p.injected_llc, p.injected_lsd, p.hops_preallocated]);
+            v.extend(p.lag_at_drop);
+            v
+        };
+        let net = |s: &System<pra::network::PraNetwork>| {
+            counters(s.network().stats(), s.network().pra_stats())
+        };
+        let (window, total, warm) = (net(&reset), net(&lifetime), counters(&net_w, &pra_w));
+        assert_eq!(window[0], window_cycles);
+        assert!(
+            window[1] > 0 && window[9] > 0,
+            "traffic and control packets flow"
+        );
+        for (i, w) in window.iter().enumerate() {
+            assert_eq!(
+                *w,
+                total[i] - warm[i],
+                "counter {i}: window = lifetime - warm-up"
+            );
+        }
     }
 
     #[test]

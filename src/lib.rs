@@ -29,8 +29,8 @@
 //! ```
 //!
 //! See `DESIGN.md` for the system inventory, `EXPERIMENTS.md` for the
-//! paper-vs-measured record, and `cargo run -p bench --bin all_figures`
-//! to regenerate every table and figure.
+//! paper-vs-measured record, and `cargo run -p bench --bin figures` to
+//! render every table and figure from the committed sweep goldens.
 
 #![warn(missing_docs)]
 
